@@ -92,7 +92,7 @@ type Engine struct {
 	workers    int
 	seed       uint64
 	halo       []uint64
-	scratches  []Scratch // per-band random scratch buffers
+	scratches  []Scratch // per-band kernel scratch (shared-mode draws)
 
 	// Observable cache: Magnetizations/Energies are O(lanes * N) passes, so
 	// consumers that read several observables per step (tempering, the

@@ -8,10 +8,11 @@ import (
 	"tpuising/internal/rng"
 )
 
-// Scratch is a reusable per-worker random buffer for Kernel.UpdateRow, the
+// Scratch is a reusable per-worker buffer for Kernel.UpdateRow, the
 // lane-packed analogue of multispin.Scratch: each row-band goroutine (or each
-// shard) owns one, so the batched Philox draws allocate only on first use and
-// on growth.
+// shard) owns one. Only shared mode uses it, for the row's batched class
+// draws; per-lane mode builds each group's acceptance masks in registers with
+// rng.AcceptLanes and needs no buffer.
 type Scratch struct {
 	rand []uint32
 }
@@ -46,7 +47,8 @@ type Kernel struct {
 
 	// Structure-of-arrays mirrors of the per-lane kernels, kept in sync by
 	// NewKernel and SetLaneTemperature: the hot loop reads thresholds from
-	// flat slices and hands the key arrays straight to rng.BlockLanes.
+	// flat slices and hands the key and threshold arrays straight to
+	// rng.AcceptLanes.
 	t4s, t8s   []uint64
 	k0s, k1s   []uint32
 	thresholds multispin.ThresholdCache // memoized acceptance pairs per rung
@@ -147,12 +149,13 @@ func (k *Kernel) SetLaneKey(lane int, key rng.Key) {
 // four-site random groups never straddle the slice; groupOff is the global
 // group index of the slice's first group (global first column / 8).
 //
-// This is the optimized ΔE-class loop: per-lane mode draws all lanes of a
-// four-site group with one rng.BlockLanes call over the SoA key arrays (the
-// AVX2 kernel does 8 lanes per vector iteration), shared mode batches the
-// whole row's class draws with one rng.BlockRow call. Both consume exactly
-// the blocks the retained reference loop (UpdateRowRef) draws inline, and
-// the golden-equivalence test pins the two bit-for-bit.
+// This is the optimized ΔE-class loop: per-lane mode gets all lanes' accept
+// masks of a four-site group from one fused rng.AcceptLanes call over the SoA
+// key and threshold arrays (the AVX2 kernel does 8 lanes per vector
+// iteration, with no random ever stored), shared mode batches the whole
+// row's class draws with one rng.BlockRow call. Both consume exactly the
+// blocks the retained reference loop (UpdateRowRef) draws inline, and the
+// golden-equivalence test pins the two bit-for-bit.
 func (k *Kernel) UpdateRow(row, north, south []uint64, westWord, eastWord uint64, globalRow, groupOff, parity int, step uint64, sc *Scratch) {
 	p := (parity + globalRow) & 1
 	s0, s1 := uint32(step), uint32(step>>32)
@@ -188,25 +191,10 @@ func (k *Kernel) UpdateRow(row, north, south []uint64, westWord, eastWord uint64
 			k.applyGroup(row, north, south, westWord, eastWord, g, p, &a4, &a8)
 		}
 	} else {
-		// One draw per lane per site: all lanes of a group in one batched
-		// call under the SoA key arrays.
-		rnd := sc.buf(4 * k.lanes)
+		// One draw per lane per site: all lanes of a group compared in one
+		// fused call under the SoA key and threshold arrays.
 		for g := 0; g < groups; g++ {
-			rng.BlockLanes(rnd, rng.Counter{s0, s1, rr, uint32(groupOff + g)}, k.k0s, k.k1s)
-			a4[0], a4[1], a4[2], a4[3] = 0, 0, 0, 0
-			a8[0], a8[1], a8[2], a8[3] = 0, 0, 0, 0
-			for l := 0; l < k.lanes; l++ {
-				t4, t8 := k.t4s[l], k.t8s[l]
-				o := rnd[4*l : 4*l+4 : 4*l+4]
-				a4[0] |= ((uint64(o[0]) - t4) >> 63) << uint(l)
-				a8[0] |= ((uint64(o[0]) - t8) >> 63) << uint(l)
-				a4[1] |= ((uint64(o[1]) - t4) >> 63) << uint(l)
-				a8[1] |= ((uint64(o[1]) - t8) >> 63) << uint(l)
-				a4[2] |= ((uint64(o[2]) - t4) >> 63) << uint(l)
-				a8[2] |= ((uint64(o[2]) - t8) >> 63) << uint(l)
-				a4[3] |= ((uint64(o[3]) - t4) >> 63) << uint(l)
-				a8[3] |= ((uint64(o[3]) - t8) >> 63) << uint(l)
-			}
+			rng.AcceptLanes(&a4, &a8, rng.Counter{s0, s1, rr, uint32(groupOff + g)}, k.k0s, k.k1s, k.t4s, k.t8s)
 			k.applyGroup(row, north, south, westWord, eastWord, g, p, &a4, &a8)
 		}
 	}

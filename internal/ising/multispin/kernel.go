@@ -121,22 +121,33 @@ func DisagreeClasses(d1, d2, d3, d4 uint64) (ge2, one, zero uint64) {
 	return ge2, one, zero
 }
 
-// tileWords is the column-blocking width of the optimized row kernel: randoms
-// are generated tileWords words at a time, so the per-site scratch is
-// tileWords*32 uint32s (8 KiB) — small enough that the tile's randoms, the
-// row band and the neighbour rows stay cache-resident while the word loop
-// consumes them.
+// tileWords is the column-blocking width of the optimized row kernel: the
+// acceptance masks (per-site mode) or randoms (shared mode) of tileWords words
+// are produced per batched call, so the per-site scratch is 2*tileWords mask
+// words (1 KiB) — small enough that the tile's masks, the row band and the
+// neighbour rows stay cache-resident while the word loop consumes them.
 const tileWords = 64
 
-// Scratch is the reusable random buffer of the optimized row kernel. Engines
-// keep one per worker goroutine and pass it to every UpdateRowScratch call;
-// the zero value is ready to use and grows on first use. It carries no
-// kernel state — only scratch memory — so any kernel may use any scratch.
+// Scratch is the reusable buffer of the optimized row kernel: one tile's a4/a8
+// acceptance masks in per-site mode, one tile's Philox blocks in shared mode.
+// Engines keep one per worker goroutine and pass it to every
+// UpdateRowScratch call; the zero value is ready to use and grows on first
+// use. It carries no kernel state — only scratch memory — so any kernel may
+// use any scratch.
 type Scratch struct {
+	mask []uint64
 	rand []uint32
 }
 
-// buf returns an n-word view of the scratch, growing it if needed.
+// masks returns the a4 and a8 views of an n-word tile.
+func (s *Scratch) masks(n int) (a4, a8 []uint64) {
+	if cap(s.mask) < 2*tileWords {
+		s.mask = make([]uint64, 2*tileWords)
+	}
+	return s.mask[:n], s.mask[tileWords : tileWords+n]
+}
+
+// buf returns an n-word view of the random buffer, growing it if needed.
 func (s *Scratch) buf(n int) []uint32 {
 	if cap(s.rand) < n {
 		s.rand = make([]uint32, n)
@@ -160,8 +171,8 @@ func (s *Scratch) buf(n int) []uint32 {
 //
 // UpdateRow is the convenience form that brings its own scratch; the engines'
 // hot loops call UpdateRowScratch with a persistent per-worker Scratch
-// instead. Both run the optimized kernel — batched Philox rows, tiled column
-// blocking, hoisted word-boundary handling — and are bit-identical to
+// instead. Both run the optimized kernel — fused Philox accept masks, tiled
+// column blocking, hoisted word-boundary handling — and are bit-identical to
 // UpdateRowRef, the retained naive reference (pinned by the golden
 // equivalence tests in kernel_equiv_test.go).
 func (k Kernel) UpdateRow(row, north, south []uint64, westWrap, eastWrap uint64, globalRow, wordOff, parity int, step uint64) {
@@ -170,11 +181,13 @@ func (k Kernel) UpdateRow(row, north, south []uint64, westWrap, eastWrap uint64,
 }
 
 // UpdateRowScratch is UpdateRow with a caller-owned scratch buffer, the form
-// the engines' hot loops use. The randoms of a whole tile of words are
-// generated into the scratch with one batched Philox call (rng.BlockRow — the
-// AVX2 kernel when built with the avx2 tag, the 4-way portable loop
-// otherwise), then the word loop consumes them with the wrap/select branches
-// hoisted into explicit first/middle/last-word handling.
+// the engines' hot loops use. Per tile of words, per-site mode gets the
+// sites' a4/a8 acceptance masks from one fused rng.AcceptRow call (Philox and
+// the threshold compare in one pass — the AVX2 kernel when built with the
+// avx2 tag, the portable loop otherwise), and shared mode draws the words'
+// randoms with one rng.BlockRow call. The word loop then applies the masks
+// with the wrap/select branches hoisted into explicit first/middle/last-word
+// handling.
 //
 // Within one colour update the kernel writes only active-colour bits and
 // consumes only inactive-colour neighbour bits, so the word loop may read
@@ -202,18 +215,22 @@ func (k Kernel) UpdateRowScratch(row, north, south []uint64, westWrap, eastWrap 
 		if w1 > W {
 			w1 = W
 		}
-		// Batch the tile's randoms: per-site mode consumes 8 blocks (32
-		// uint32s) per word at consecutive counters starting at (wordOff+w0)*8;
-		// shared mode one block per word starting at wordOff+w0. Both match
-		// the reference's per-word counters exactly (mod-2^32 arithmetic
-		// included), so the words drawn are Block-for-Block the same.
-		var rnd []uint32
+		// The tile's acceptance masks: per-site mode consumes 8 blocks per
+		// word at consecutive counters starting at (wordOff+w0)*8, shared
+		// mode one block per word starting at wordOff+w0, whose component 0
+		// decides the whole word. Both match the reference's per-word
+		// counters exactly (mod-2^32 arithmetic included).
+		a4, a8 := sc.masks(w1 - w0)
 		if k.Shared {
-			rnd = sc.buf(tileWords * 4)[:(w1-w0)*4]
+			rnd := sc.buf(tileWords * 4)[:(w1-w0)*4]
 			rng.BlockRow(rnd, rng.Counter{s0, s1, rr, uint32(wordOff + w0)}, k.Key)
+			for i := range a4 {
+				u := uint64(rnd[4*i])
+				a4[i] = ^uint64(0) * ((u - t4) >> 63)
+				a8[i] = ^uint64(0) * ((u - t8) >> 63)
+			}
 		} else {
-			rnd = sc.buf(tileWords * 32)[:(w1-w0)*32]
-			rng.BlockRow(rnd, rng.Counter{s0, s1, rr, uint32((wordOff + w0) * 8)}, k.Key)
+			rng.AcceptRow(a4, a8, rng.Counter{s0, s1, rr, uint32((wordOff + w0) * 8)}, k.Key, t4, t8, p)
 		}
 		// Hoisted boundary handling: the west neighbour rolls through a
 		// local (see above), the east select happens once, for the tile's
@@ -223,66 +240,25 @@ func (k Kernel) UpdateRowScratch(row, north, south []uint64, westWrap, eastWrap 
 			westSrc = row[w0-1]
 		}
 		last := w1 - 1
-		if k.Shared {
-			for w := w0; w < last; w++ {
-				row[w] = sharedUpdateWord(row[w], north[w], south[w], row[w+1], westSrc,
-					uint64(rnd[(w-w0)*4]), t4, t8, cmask)
-				westSrc = row[w]
-			}
-			eastSrc := eastWrap
-			if w1 < W {
-				eastSrc = row[w1]
-			}
-			row[last] = sharedUpdateWord(row[last], north[last], south[last], eastSrc, westSrc,
-				uint64(rnd[(last-w0)*4]), t4, t8, cmask)
-		} else {
-			for w := w0; w < last; w++ {
-				row[w] = siteUpdateWord(row[w], north[w], south[w], row[w+1], westSrc,
-					rnd[(w-w0)*32:(w-w0)*32+32], t4, t8, p, cmask)
-				westSrc = row[w]
-			}
-			eastSrc := eastWrap
-			if w1 < W {
-				eastSrc = row[w1]
-			}
-			row[last] = siteUpdateWord(row[last], north[last], south[last], eastSrc, westSrc,
-				rnd[(last-w0)*32:(last-w0)*32+32], t4, t8, p, cmask)
+		for w := w0; w < last; w++ {
+			row[w] = updateWord(row[w], north[w], south[w], row[w+1], westSrc, a4[w-w0], a8[w-w0], cmask)
+			westSrc = row[w]
 		}
+		eastSrc := eastWrap
+		if w1 < W {
+			eastSrc = row[w1]
+		}
+		row[last] = updateWord(row[last], north[last], south[last], eastSrc, westSrc, a4[last-w0], a8[last-w0], cmask)
 	}
 }
 
-// siteUpdateWord updates one 64-column word in per-site mode: the 32 active
-// sites consume rnd[0..31] (site with in-word same-colour ordinal j reads
-// rnd[j], which the batched row generation laid out as component j&3 of block
-// j>>2 — exactly the reference's draw).
-func siteUpdateWord(cur, north, south, eastSrc, westSrc uint64, rnd []uint32, t4, t8 uint64, p uint, cmask uint64) uint64 {
+// updateWord applies one 64-column word's Metropolis update given its
+// acceptance masks: a4 (a8) marks the active sites that accept a flip with
+// one (zero) disagreeing neighbours.
+func updateWord(cur, north, south, eastSrc, westSrc, a4, a8, cmask uint64) uint64 {
 	east := (cur >> 1) | (eastSrc << 63)
 	west := (cur << 1) | (westSrc >> 63)
 	ge2, one, zero := DisagreeClasses(cur^north, cur^south, cur^east, cur^west)
-	var a4, a8 uint64
-	rnd = rnd[:32]
-	for j := 0; j < 32; j += 4 {
-		pos := uint(2*j) + p
-		a4 |= ((uint64(rnd[j]) - t4) >> 63) << pos
-		a8 |= ((uint64(rnd[j]) - t8) >> 63) << pos
-		a4 |= ((uint64(rnd[j+1]) - t4) >> 63) << (pos + 2)
-		a8 |= ((uint64(rnd[j+1]) - t8) >> 63) << (pos + 2)
-		a4 |= ((uint64(rnd[j+2]) - t4) >> 63) << (pos + 4)
-		a8 |= ((uint64(rnd[j+2]) - t8) >> 63) << (pos + 4)
-		a4 |= ((uint64(rnd[j+3]) - t4) >> 63) << (pos + 6)
-		a8 |= ((uint64(rnd[j+3]) - t8) >> 63) << (pos + 6)
-	}
-	return cur ^ ((ge2 | one&a4 | zero&a8) & cmask)
-}
-
-// sharedUpdateWord updates one 64-column word in shared mode: one random u
-// decides the whole word's class acceptances.
-func sharedUpdateWord(cur, north, south, eastSrc, westSrc, u uint64, t4, t8, cmask uint64) uint64 {
-	east := (cur >> 1) | (eastSrc << 63)
-	west := (cur << 1) | (westSrc >> 63)
-	ge2, one, zero := DisagreeClasses(cur^north, cur^south, cur^east, cur^west)
-	a4 := ^uint64(0) * ((u - t4) >> 63)
-	a8 := ^uint64(0) * ((u - t8) >> 63)
 	return cur ^ ((ge2 | one&a4 | zero&a8) & cmask)
 }
 

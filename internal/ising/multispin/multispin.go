@@ -71,7 +71,7 @@ type Engine struct {
 	step              uint64
 	workers           int
 	halo              []uint64       // scratch for the per-band boundary-row snapshots
-	scratches         []Scratch      // per-band random scratch buffers for the batched kernel
+	scratches         []Scratch      // per-band mask/random scratch of the row kernel
 	thresholds        ThresholdCache // memoized acceptance pairs for SetTemperature
 }
 
@@ -227,7 +227,7 @@ func (e *Engine) updateColor(parity int, step uint64) {
 		copy(south, e.rowWords(r1%e.rows))
 		plan = append(plan, band{r0: r0, r1: r1, north: north, south: south})
 	}
-	// One persistent random scratch per band: the batched kernel reuses its
+	// One persistent kernel scratch per band: the row kernel reuses its
 	// buffer across rows and sweeps, and bands never share one (they run
 	// concurrently).
 	if len(e.scratches) < len(plan) {

@@ -45,7 +45,7 @@ type shard struct {
 	north, south       []uint64
 	eastBits, westBits []uint64
 	edge               []uint64          // scratch for building this shard's outgoing bit columns
-	scratch            multispin.Scratch // per-shard random scratch for the batched kernel
+	scratch            multispin.Scratch // per-shard mask/random scratch of the row kernel
 }
 
 // Engine is the mesh-sharded bit-packed sampler. It satisfies ising.Backend.

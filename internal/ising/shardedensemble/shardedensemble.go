@@ -83,7 +83,7 @@ type shard struct {
 	north, south []uint64
 	east, west   []uint64
 	edge         []uint64         // scratch for building outgoing word columns
-	scratch      ensemble.Scratch // per-shard random scratch for the batched kernel
+	scratch      ensemble.Scratch // per-shard kernel scratch (shared-mode draws)
 }
 
 // Engine is the mesh-sharded lane-packed sampler. It satisfies

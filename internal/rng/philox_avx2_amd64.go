@@ -45,3 +45,15 @@ func blockRowAVX2(dst *uint32, n uint64, ctr Counter, key Key)
 //
 //go:noescape
 func blockLanesAVX2(dst *uint32, n uint64, ctr Counter, k0s, k1s *uint32)
+
+// acceptRowAVX2 writes the AcceptRow masks of n (positive) words, one word's
+// eight blocks per vector iteration, with the thresholds preprocessed into c.
+//
+//go:noescape
+func acceptRowAVX2(a4, a8 *uint64, n uint64, ctr Counter, key Key, c *rowAcceptConsts)
+
+// acceptLanesAVX2 writes the AcceptLanes masks of the first n lanes (a
+// positive multiple of 8) as whole bytes of a4[c]/a8[c].
+//
+//go:noescape
+func acceptLanesAVX2(a4, a8 *[4]uint64, n uint64, ctr Counter, k0s, k1s *uint32, t4s, t8s *uint64)

@@ -183,6 +183,185 @@ laneloop:
 	VZEROUPPER
 	RET
 
+// Fused accept-mask kernels (see accept.go). Both run PHILOX_ROUNDS exactly
+// as above, but instead of transposing and storing the blocks they compare
+// the round registers Y0..Y3 (component c of the eight blocks) against the
+// thresholds on sign-flipped words — signed VPCMPGTD then orders like the
+// unsigned compare — and emit only the acceptance bits.
+
+DATA ·acceptSignBit+0(SB)/4, $0x80000000
+DATA ·acceptSignBit+4(SB)/4, $0x80000000
+DATA ·acceptSignBit+8(SB)/4, $0x80000000
+DATA ·acceptSignBit+12(SB)/4, $0x80000000
+DATA ·acceptSignBit+16(SB)/4, $0x80000000
+DATA ·acceptSignBit+20(SB)/4, $0x80000000
+DATA ·acceptSignBit+24(SB)/4, $0x80000000
+DATA ·acceptSignBit+28(SB)/4, $0x80000000
+GLOBL ·acceptSignBit(SB), RODATA|NOPTR, $32
+
+// acceptPackIdx gathers dwords 0, 4, 1, 5 after the two saturating packs of
+// acceptRowAVX2: the a4 bytes of blocks 0..3 and 4..7, then the a8 bytes.
+DATA ·acceptPackIdx+0(SB)/4, $0
+DATA ·acceptPackIdx+4(SB)/4, $4
+DATA ·acceptPackIdx+8(SB)/4, $1
+DATA ·acceptPackIdx+12(SB)/4, $5
+DATA ·acceptPackIdx+16(SB)/4, $0
+DATA ·acceptPackIdx+20(SB)/4, $0
+DATA ·acceptPackIdx+24(SB)/4, $0
+DATA ·acceptPackIdx+28(SB)/4, $0
+GLOBL ·acceptPackIdx(SB), RODATA|NOPTR, $32
+
+// acceptNarrowIdx splits four uint64 thresholds into their low dwords (low
+// half) and high dwords (high half).
+DATA ·acceptNarrowIdx+0(SB)/4, $0
+DATA ·acceptNarrowIdx+4(SB)/4, $2
+DATA ·acceptNarrowIdx+8(SB)/4, $4
+DATA ·acceptNarrowIdx+12(SB)/4, $6
+DATA ·acceptNarrowIdx+16(SB)/4, $1
+DATA ·acceptNarrowIdx+20(SB)/4, $3
+DATA ·acceptNarrowIdx+24(SB)/4, $5
+DATA ·acceptNarrowIdx+28(SB)/4, $7
+GLOBL ·acceptNarrowIdx(SB), RODATA|NOPTR, $32
+
+// ROW_ACCEPT_FIRST / ROW_ACCEPT fold component c (register Yc) of a word's
+// eight blocks into the a4 (Y12) and a8 (Y13) byte vectors: lane b of Yc is
+// site 4b+c, so its accept bit is bit 2c+p of byte b. With R9 pointing at
+// rowAcceptConsts (s4 at 0, s8 at 32, k4[c] at 64+32c, k8[c] at 192+32c),
+// accept = !(u' > s') and the mask k places the bit (k = 0 when t = 0).
+#define ROW_ACCEPT_FIRST(Yc) \
+	VPCMPGTD 0(R9), Yc, Y4    \
+	VPANDN 64(R9), Y4, Y12    \
+	VPCMPGTD 32(R9), Yc, Y5   \
+	VPANDN 192(R9), Y5, Y13
+
+#define ROW_ACCEPT(Yc, k4, k8) \
+	VPCMPGTD 0(R9), Yc, Y4     \
+	VPANDN k4(R9), Y4, Y4      \
+	VPOR Y4, Y12, Y12          \
+	VPCMPGTD 32(R9), Yc, Y5    \
+	VPANDN k8(R9), Y5, Y5      \
+	VPOR Y5, Y13, Y13
+
+#define SIGN_FLIP_STATE                    \
+	VPXOR ·acceptSignBit(SB), Y0, Y0 \
+	VPXOR ·acceptSignBit(SB), Y1, Y1 \
+	VPXOR ·acceptSignBit(SB), Y2, Y2 \
+	VPXOR ·acceptSignBit(SB), Y3, Y3
+
+// func acceptRowAVX2(a4, a8 *uint64, n uint64, ctr Counter, key Key, c *rowAcceptConsts)
+//
+// One word per iteration: its eight blocks are exactly one vector of
+// counters, so there is no scalar tail.
+TEXT ·acceptRowAVX2(SB), NOSPLIT, $0-56
+	MOVQ a4+0(FP), DI
+	MOVQ a8+8(FP), SI
+	MOVQ n+16(FP), DX
+	MOVQ c+48(FP), R9
+	VMOVDQU ·philoxM0v(SB), Y8
+	VMOVDQU ·philoxM1v(SB), Y9
+	VMOVDQU ·philoxW0v(SB), Y10
+	VMOVDQU ·philoxW1v(SB), Y11
+	VPBROADCASTD ctr+36(FP), Y14
+	VPADDD ·philoxLaneIota(SB), Y14, Y14
+
+acceptrowloop:
+	VPBROADCASTD ctr+24(FP), Y0
+	VPBROADCASTD ctr+28(FP), Y1
+	VPBROADCASTD ctr+32(FP), Y2
+	VMOVDQA Y14, Y3
+	VPBROADCASTD key+40(FP), Y12
+	VPBROADCASTD key+44(FP), Y13
+	PHILOX_ROUNDS(acceptrowround)
+	SIGN_FLIP_STATE
+	ROW_ACCEPT_FIRST(Y0)
+	ROW_ACCEPT(Y1, 96, 224)
+	ROW_ACCEPT(Y2, 128, 256)
+	ROW_ACCEPT(Y3, 160, 288)
+	// Each dword of Y12/Y13 holds one byte; pack them to bytes and gather
+	// the a4 bytes into the low qword, the a8 bytes into the high one.
+	VPACKUSDW Y13, Y12, Y4
+	VPACKUSWB Y4, Y4, Y4
+	VMOVDQU ·acceptPackIdx(SB), Y5
+	VPERMD Y4, Y5, Y4
+	VMOVQ X4, (DI)
+	VPEXTRQ $1, X4, (SI)
+	ADDQ $8, DI
+	ADDQ $8, SI
+	VPADDD ·philoxEight(SB), Y14, Y14
+	DECQ DX
+	JNZ acceptrowloop
+	VZEROUPPER
+	RET
+
+// LANE_THRESHOLDS loads the eight uint64 thresholds at (ptr) as Y12 = the
+// sign-flipped low dwords and Y13 = the high dwords shifted into the sign
+// bit (set only for t = 2^32, which accepts every u). Needs Y14 =
+// acceptNarrowIdx.
+#define LANE_THRESHOLDS(ptr)            \
+	VPERMD (ptr), Y14, Y4            \
+	VPERMD 32(ptr), Y14, Y5          \
+	VPERM2I128 $0x20, Y5, Y4, Y12    \
+	VPERM2I128 $0x31, Y5, Y4, Y13    \
+	VPXOR ·acceptSignBit(SB), Y12, Y12 \
+	VPSLLD $31, Y13, Y13
+
+// LANE_ACCEPT writes byte off(dst) = the accept bits (lane l at bit l) of
+// component Yc against the thresholds in Y12/Y13: u < t <=> t_lo' > u' or
+// t = 2^32.
+#define LANE_ACCEPT(Yc, off, dst) \
+	VPCMPGTD Yc, Y12, Y4       \
+	VPOR Y13, Y4, Y4           \
+	VMOVMSKPS Y4, AX           \
+	MOVB AX, off(dst)
+
+// func acceptLanesAVX2(a4, a8 *[4]uint64, n uint64, ctr Counter, k0s, k1s *uint32, t4s, t8s *uint64)
+//
+// Eight lanes per iteration; iteration i writes byte i of every a4[c] and
+// a8[c] word (little-endian, so lane 8i+l lands at bit 8i+l).
+TEXT ·acceptLanesAVX2(SB), NOSPLIT, $0-72
+	MOVQ a4+0(FP), DI
+	MOVQ a8+8(FP), SI
+	MOVQ n+16(FP), DX
+	MOVQ k0s+40(FP), R8
+	MOVQ k1s+48(FP), R9
+	MOVQ t4s+56(FP), R10
+	MOVQ t8s+64(FP), R11
+	VMOVDQU ·philoxM0v(SB), Y8
+	VMOVDQU ·philoxM1v(SB), Y9
+	VMOVDQU ·philoxW0v(SB), Y10
+	VMOVDQU ·philoxW1v(SB), Y11
+	VMOVDQU ·acceptNarrowIdx(SB), Y14
+
+acceptlaneloop:
+	VPBROADCASTD ctr+24(FP), Y0
+	VPBROADCASTD ctr+28(FP), Y1
+	VPBROADCASTD ctr+32(FP), Y2
+	VPBROADCASTD ctr+36(FP), Y3
+	VMOVDQU (R8), Y12
+	VMOVDQU (R9), Y13
+	PHILOX_ROUNDS(acceptlaneround)
+	SIGN_FLIP_STATE
+	LANE_THRESHOLDS(R10)
+	LANE_ACCEPT(Y0, 0, DI)
+	LANE_ACCEPT(Y1, 8, DI)
+	LANE_ACCEPT(Y2, 16, DI)
+	LANE_ACCEPT(Y3, 24, DI)
+	LANE_THRESHOLDS(R11)
+	LANE_ACCEPT(Y0, 0, SI)
+	LANE_ACCEPT(Y1, 8, SI)
+	LANE_ACCEPT(Y2, 16, SI)
+	LANE_ACCEPT(Y3, 24, SI)
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $64, R10
+	ADDQ $64, R11
+	INCQ DI
+	INCQ SI
+	SUBQ $8, DX
+	JNZ acceptlaneloop
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (ax, bx, cx, dx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

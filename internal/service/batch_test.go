@@ -89,7 +89,7 @@ func TestBatchJobFansOutLanes(t *testing.T) {
 	if len(st.Result.Lanes) != lanes {
 		t.Fatalf("result has %d lane rows, want %d", len(st.Result.Lanes), lanes)
 	}
-	samples, _, _, _ := j.watch()
+	samples := streamed(j)
 	if want := lanes * (spec.Sweeps / spec.SampleInterval); len(samples) != want {
 		t.Fatalf("job streamed %d samples, want %d (one per lane per interval)", len(samples), want)
 	}

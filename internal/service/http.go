@@ -184,7 +184,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		batch := sent < len(samples)
 		start := s.now()
 		for ; sent < len(samples); sent++ {
-			if err := encode.WriteLine(w, samples[sent]); err != nil {
+			if err := encode.WriteLine(w, samples[sent].wire(j.ID())); err != nil {
 				return
 			}
 		}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"math"
 	"sync"
 	"time"
 
@@ -80,8 +81,11 @@ type Job struct {
 	// the run-duration histogram (zero for jobs that never ran).
 	runStartedAt time.Time
 	sweepsDone   int
-	samples      []encode.Sample
-	dropped      int // samples beyond the history bound
+	// samples is the retained history, sized from the spec at the first
+	// append and clipped to its length when the job turns terminal, so a
+	// finished job held for JobHistory keeps no append slack.
+	samples []sampleRecord
+	dropped int // samples beyond the history bound
 	// trace is the job's lifecycle timeline (see trace.go), bounded at
 	// maxTraceEvents with the overflow counted in traceDropped.
 	trace        []TraceEvent
@@ -93,6 +97,23 @@ type Job struct {
 	// service's stream_wakeups counter measures.
 	streamed chan struct{}
 	done     chan struct{} // closed when the state turns terminal
+}
+
+// sampleRecord is one retained observation: only what a stream line cannot
+// derive. The wire encode.Sample is built at stream-write time (see wire),
+// taking the job ID from the job and |m| from m, exactly as every producer
+// computed them.
+type sampleRecord struct {
+	sweep, lane int
+	m, e        float64
+}
+
+// wire renders the record as the NDJSON line of job id.
+func (r sampleRecord) wire(id string) encode.Sample {
+	return encode.Sample{
+		Job: id, Sweep: r.sweep, Lane: r.lane,
+		Magnetization: r.m, AbsMagnetization: math.Abs(r.m), Energy: r.e,
+	}
 }
 
 // JobStatus is the JSON status representation of a job (GET /v1/jobs/{id}).
@@ -189,6 +210,7 @@ func (j *Job) setState(state JobState, err error) bool {
 	}
 	if state.terminal() {
 		j.finishedAt = j.now()
+		j.clipSamplesLocked()
 		j.notifyStream()
 		close(j.done)
 	}
@@ -208,6 +230,7 @@ func (j *Job) finish(result *encode.Result, cached bool) bool {
 	j.cached = cached
 	j.addEventLocked(EventCompleted, 0)
 	j.finishedAt = j.now()
+	j.clipSamplesLocked()
 	j.notifyStream()
 	close(j.done)
 	return true
@@ -230,11 +253,20 @@ func (j *Job) setSweepsDone(n int) {
 	j.mu.Unlock()
 }
 
-// appendSample records one streamed observation.
-func (j *Job) appendSample(s encode.Sample) {
+// appendSample records one streamed observation: lane's m and e at measured
+// sweep. A terminal job's history is frozen: a worker that has not yet seen
+// a cancel may still produce samples, and they are discarded.
+func (j *Job) appendSample(sweep, lane int, m, e float64) {
 	j.mu.Lock()
+	if j.state.terminal() {
+		j.mu.Unlock()
+		return
+	}
 	if len(j.samples) < j.history {
-		j.samples = append(j.samples, s)
+		if j.samples == nil {
+			j.samples = make([]sampleRecord, 0, min(j.spec.expectedSamples(), j.history))
+		}
+		j.samples = append(j.samples, sampleRecord{sweep: sweep, lane: lane, m: m, e: e})
 	} else {
 		j.dropped++
 	}
@@ -242,12 +274,21 @@ func (j *Job) appendSample(s encode.Sample) {
 	j.mu.Unlock()
 }
 
+// clipSamplesLocked drops the history's unused capacity (a resumed, failed or
+// canceled job stops short of the spec's count); the caller must hold j.mu.
+// Stream writers holding the old slice keep a valid prefix.
+func (j *Job) clipSamplesLocked() {
+	if cap(j.samples) > len(j.samples) {
+		j.samples = append(make([]sampleRecord, 0, len(j.samples)), j.samples...)
+	}
+}
+
 // watch returns the sample history (append-only: the prefix a caller has
 // already consumed stays valid), the count of samples dropped beyond the
 // history bound, whether the job is terminal, and a channel closed at the
 // next sample append or terminal transition. Stream writers loop on it;
 // per-sweep progress updates never fire it.
-func (j *Job) watch() (samples []encode.Sample, dropped int, terminal bool, updated <-chan struct{}) {
+func (j *Job) watch() (samples []sampleRecord, dropped int, terminal bool, updated <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.samples, j.dropped, j.state.terminal(), j.streamed

@@ -1003,10 +1003,7 @@ func (s *Server) runSingle(j *Job) {
 		absM := math.Abs(sm.Magnetization)
 		absAcc.Add(absM)
 		eAcc.Add(sm.Energy)
-		j.appendSample(encode.Sample{
-			Job: j.id, Sweep: sm.Sweep,
-			Magnetization: sm.Magnetization, AbsMagnetization: absM, Energy: sm.Energy,
-		})
+		j.appendSample(sm.Sweep, 0, sm.Magnetization, sm.Energy)
 	}
 	start := time.Now()
 	ranHere := 0
@@ -1112,10 +1109,7 @@ func (s *Server) runBatch(j *Job) {
 					absAcc[lane].Add(absM)
 					eAcc[lane].Add(es[lane])
 					absAll.Add(absM)
-					j.appendSample(encode.Sample{
-						Job: j.id, Sweep: measured, Lane: lane,
-						Magnetization: ms[lane], AbsMagnetization: absM, Energy: es[lane],
-					})
+					j.appendSample(measured, lane, ms[lane], es[lane])
 				}
 			}
 		}
@@ -1195,11 +1189,7 @@ func (s *Server) runTempering(j *Job) {
 		if measure {
 			ens.Measure()
 			cold := ens.Backend(0)
-			m := cold.Magnetization()
-			j.appendSample(encode.Sample{
-				Job: j.id, Sweep: (round + 1) * sweepsPerRound,
-				Magnetization: m, AbsMagnetization: math.Abs(m), Energy: cold.Energy(),
-			})
+			j.appendSample((round+1)*sweepsPerRound, 0, cold.Magnetization(), cold.Energy())
 		}
 		progress += sweepsPerRound
 		s.sweepsRun.Add(int64(sweepsPerRound) * int64(ens.Replicas()))

@@ -30,6 +30,16 @@ func waitDone(t *testing.T, j *Job) JobStatus {
 	return j.Status()
 }
 
+// streamed returns a job's retained samples as the stream renders them.
+func streamed(j *Job) []encode.Sample {
+	recs, _, _, _ := j.watch()
+	out := make([]encode.Sample, len(recs))
+	for i, r := range recs {
+		out[i] = r.wire(j.ID())
+	}
+	return out
+}
+
 func TestJobSpecNormalize(t *testing.T) {
 	spec, err := JobSpec{Backend: "CPU", Rows: 32, Sweeps: 10}.Normalize()
 	if err != nil {
@@ -128,7 +138,7 @@ func TestSubmitRunsJobAndStreamsSamples(t *testing.T) {
 	if st.State != StateDone || st.Result == nil {
 		t.Fatalf("job did not complete: %+v", st)
 	}
-	samples, _, _, _ := j.watch()
+	samples := streamed(j)
 	if len(samples) != 10 {
 		t.Fatalf("streamed %d samples, want 10", len(samples))
 	}
@@ -273,7 +283,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			refStatus := waitDone(t, refJob)
-			refSamples, _, _, _ := refJob.watch()
+			refSamples := streamed(refJob)
 			ref.Close()
 
 			// Interrupted run: shut the daemon down mid-job, after at least
@@ -300,7 +310,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			if stA.State != StateQueued {
 				t.Fatalf("interrupted job state %q (done before shutdown? raise Sweeps): %+v", stA.State, stA)
 			}
-			samplesA, _, _, _ := jobA.watch()
+			samplesA := streamed(jobA)
 
 			// Fresh daemon over the same directory: the job resumes by ID
 			// and finishes.
@@ -320,7 +330,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			if stB.State != StateDone {
 				t.Fatalf("resumed job: %+v", stB)
 			}
-			samplesB, _, _, _ := jobB.watch()
+			samplesB := streamed(jobB)
 
 			// Observables must be byte-identical once the wall-clock fields
 			// (the only nondeterministic ones) are cleared.

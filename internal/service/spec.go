@@ -230,6 +230,16 @@ func (s JobSpec) CacheKey() string {
 	return string(blob)
 }
 
+// expectedSamples is the number of samples an uninterrupted run of the
+// (normalized) spec streams: one per measured round of a tempering ladder,
+// one per lane per SampleInterval otherwise.
+func (s JobSpec) expectedSamples() int {
+	if len(s.Temperatures) > 0 {
+		return max(s.Sweeps/s.SwapInterval, 1)
+	}
+	return s.Replicas * (s.Sweeps / s.SampleInterval)
+}
+
 // totalSweeps is the whole-lattice updates a job performs end to end
 // (per replica, for tempering jobs).
 func (s JobSpec) totalSweeps() int {

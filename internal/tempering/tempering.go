@@ -106,9 +106,12 @@ type Ensemble struct {
 	pairAttempts, pairAccepts []int64 // indexed by the lower temperature of the pair
 	swapComm                  metrics.Counts
 
-	// Per temperature slot: the measured magnetisation, |m| and energy
-	// series (whatever replica held the slot at measurement time).
-	ms, abs, energies [][]float64
+	// Per temperature slot: the measured magnetisation series and the
+	// in-order running sum of the measured energies (whatever replica held
+	// the slot at measurement time). |m| is derived from ms by Report, and
+	// the energy mean needs only the sum, so one series per rung is kept.
+	ms        [][]float64
+	energySum []float64
 }
 
 // newEnsemble validates the ladder and builds the walker bookkeeping shared
@@ -128,8 +131,7 @@ func newEnsemble(c Config) (*Ensemble, error) {
 		pairAttempts: make([]int64, n-1),
 		pairAccepts:  make([]int64, n-1),
 		ms:           make([][]float64, n),
-		abs:          make([][]float64, n),
-		energies:     make([][]float64, n),
+		energySum:    make([]float64, n),
 	}
 	for t, temp := range c.Temperatures {
 		if temp <= 0 {
@@ -381,19 +383,15 @@ func (e *Ensemble) Measure() {
 	if e.batch != nil {
 		ms, es := e.batch.Magnetizations(), e.batch.Energies()
 		for t := range e.betas {
-			m := ms[e.slot[t]]
-			e.ms[t] = append(e.ms[t], m)
-			e.abs[t] = append(e.abs[t], math.Abs(m))
-			e.energies[t] = append(e.energies[t], es[e.slot[t]])
+			e.ms[t] = append(e.ms[t], ms[e.slot[t]])
+			e.energySum[t] += es[e.slot[t]]
 		}
 		return
 	}
 	for t := range e.betas {
 		r := e.replicas[e.slot[t]]
-		m := r.Magnetization()
-		e.ms[t] = append(e.ms[t], m)
-		e.abs[t] = append(e.abs[t], math.Abs(m))
-		e.energies[t] = append(e.energies[t], r.Energy())
+		e.ms[t] = append(e.ms[t], r.Magnetization())
+		e.energySum[t] += r.Energy()
 	}
 }
 
@@ -473,15 +471,23 @@ func (e *Ensemble) Report() Report {
 		SwapRounds: e.round,
 	}
 	for t := range e.betas {
+		n := len(e.ms[t])
+		abs := make([]float64, n)
+		for i, m := range e.ms[t] {
+			abs[i] = math.Abs(m)
+		}
 		rr := ReplicaReport{
 			Temperature:         e.cfg.Temperatures[t],
-			AbsMagnetization:    stats.Mean(e.abs[t]),
-			AbsMagnetizationErr: stats.BinnedError(e.abs[t], 20),
+			AbsMagnetization:    stats.Mean(abs),
+			AbsMagnetizationErr: stats.BinnedError(abs, 20),
 			Binder:              stats.Binder(e.ms[t]),
-			Energy:              stats.Mean(e.energies[t]),
-			AutocorrTime:        stats.IntegratedAutocorrTime(e.abs[t]),
-			EffectiveSamples:    stats.EffectiveSampleSize(e.abs[t]),
-			Samples:             len(e.abs[t]),
+			AutocorrTime:        stats.IntegratedAutocorrTime(abs),
+			EffectiveSamples:    stats.EffectiveSampleSize(abs),
+			Samples:             n,
+		}
+		if n > 0 {
+			// The same in-order sum over the same values stats.Mean takes.
+			rr.Energy = e.energySum[t] / float64(n)
 		}
 		if t < len(e.pairAttempts) {
 			rr.PairAttempts = e.pairAttempts[t]
