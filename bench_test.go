@@ -368,16 +368,16 @@ func BenchmarkShardedEnsemble64_2x4_512(b *testing.B) { benchShardedEnsemble(b, 
 // nothing.
 func benchTempering(b *testing.B, size, replicas int) {
 	const swapInterval = 5
-	ens, err := tempering.New(tempering.Config{
-		Temperatures: sweep.CriticalWindow(tempering.DefaultWindow(size*size, replicas), replicas),
+	temps := sweep.CriticalWindow(tempering.DefaultWindow(size*size, replicas), replicas)
+	lanes, err := backend.NewLanes("multispin", backend.Config{Rows: size, Cols: size, Seed: 1}, temps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ens, err := tempering.NewBatch(tempering.Config{
+		Temperatures: temps,
 		SwapInterval: swapInterval,
 		Seed:         1,
-	}, func(slot int, temperature float64) (ising.Backend, error) {
-		return backend.New("multispin", backend.Config{
-			Rows: size, Cols: size, Temperature: temperature,
-			Seed: tempering.ReplicaSeed(1, slot),
-		})
-	})
+	}, lanes)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestNormalize(t *testing.T) {
 		"internal/perf),":       "internal/perf)", // ')' inside the token never matches the pattern
 		"docs/PHYSICS.md":       "docs/PHYSICS.md",
 		"internal/rng.":         "internal/rng",
-		"internal/ising/cubic,": "internal/ising/cubic",
+		"internal/device/spec,": "internal/device/spec",
 	}
 	for in, want := range cases {
 		if got := normalize(in); got != want {

@@ -366,7 +366,6 @@ func runTemper(name string, rows, cols, gridR, gridC, tile int, dt tensor.DType,
 		Temperatures: sweep.TemperatureGrid(tmin, tmax, replicas),
 		SwapInterval: swapInterval,
 		Seed:         seed,
-		Workers:      workers,
 	}, ladder)
 	if err != nil {
 		log.Fatal(err)

@@ -158,16 +158,6 @@ func (c *Core) Where(cond, a, b *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// ChargeFusedElementwise accounts a fused elementwise chain executed as a
-// single pass over the data (used by the HLO interpreter for fusion nodes):
-// the weighted lane-operations of the whole chain, but only one HBM round
-// trip for the listed external operands and the result — which is exactly the
-// saving XLA's elementwise fusion provides.
-func (c *Core) ChargeFusedElementwise(weightedOps int64, tensors ...*tensor.Tensor) {
-	c.counts.VPUOps += weightedOps
-	c.vpuTraffic(tensors...)
-}
-
 // RandomUniform generates uniforms from a sequential Philox stream on the
 // vector unit.
 func (c *Core) RandomUniform(dtype tensor.DType, p *rng.Philox, shape ...int) *tensor.Tensor {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tpuising/internal/interconnect"
-	"tpuising/internal/ising"
 	"tpuising/internal/ising/backend"
 	"tpuising/internal/perf"
 	"tpuising/internal/sweep"
@@ -38,16 +37,16 @@ func HostTemperingScaling(size int, replicaCounts []int, rounds int) *Table {
 	link := interconnect.DefaultLinkParams()
 	var base float64
 	for _, n := range replicaCounts {
-		ens, err := tempering.New(tempering.Config{
-			Temperatures: sweep.CriticalWindow(tempering.DefaultWindow(size*size, n), n),
+		temps := sweep.CriticalWindow(tempering.DefaultWindow(size*size, n), n)
+		lanes, err := backend.NewLanes("multispin", backend.Config{Rows: size, Cols: size, Seed: 1}, temps)
+		if err != nil {
+			panic(fmt.Sprintf("harness: %v", err))
+		}
+		ens, err := tempering.NewBatch(tempering.Config{
+			Temperatures: temps,
 			SwapInterval: temperSwapInterval,
 			Seed:         1,
-		}, func(slot int, temperature float64) (ising.Backend, error) {
-			return backend.New("multispin", backend.Config{
-				Rows: size, Cols: size, Temperature: temperature,
-				Seed: tempering.ReplicaSeed(1, slot),
-			})
-		})
+		}, lanes)
 		if err != nil {
 			panic(fmt.Sprintf("harness: %v", err))
 		}

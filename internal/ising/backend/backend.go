@@ -158,12 +158,24 @@ func NewBatchLadder(name string, cfg Config, temps []float64) (ising.BatchBacken
 			Lanes: len(temps), Temperatures: temps, Seed: cfg.Seed, Hot: cfg.Hot,
 		})
 	}
+	return NewLanes(n, cfg, temps)
+}
+
+// NewLanes builds the lanes of NewBatchLadder as standalone engines of the
+// named backend — lane L at temps[L], seeded ising.LaneSeed(cfg.Seed, L) —
+// behind the generic ising.NewBatchOf adapter, with cfg.Workers bounding how
+// many lanes sweep concurrently. It is NewBatchLadder's fallback for engines
+// without a lane-packed form, and what callers use to run separate replicas
+// even where a packed engine exists (for example to measure one against the
+// other).
+func NewLanes(name string, cfg Config, temps []float64) (*ising.Batch, error) {
 	backends := make([]ising.Backend, len(temps))
 	for i, temp := range temps {
 		c := cfg
 		c.Temperature = temp
 		c.Seed = ising.LaneSeed(cfg.Seed, i)
-		if backends[i], err = New(n, c); err != nil {
+		var err error
+		if backends[i], err = New(name, c); err != nil {
 			return nil, fmt.Errorf("backend: building batch lane %d: %w", i, err)
 		}
 	}

@@ -1,16 +1,16 @@
 // Package gpusim provides the GPU-style baselines the paper compares against
 // (Section 4.2): the single-GPU checkerboard implementation of Preis et al.
-// [23] / Block et al. [3] and its multi-GPU MPI variant, plus the published
-// throughput constants for the external systems (Tesla V100, FPGA, DGX-2).
+// [23] / Block et al. [3], a throughput model of its multi-GPU MPI variant,
+// plus the published throughput constants for the external systems (Tesla
+// V100, FPGA, DGX-2).
 //
 // Two things are provided:
 //
-//   - A runnable functional emulation (Sampler, MultiDevice) that executes the
-//     same checkerboard Markov chain on the host CPU with a thread pool per
-//     "device" and, for the multi-device case, explicit host-mediated halo
-//     exchange accounting. It produces chains bit-identical to the serial
-//     reference, so who-wins comparisons against the TPU path are made on
-//     equal physics.
+//   - A runnable functional emulation (Sampler) that executes the same
+//     checkerboard Markov chain on the host CPU with a thread pool standing
+//     in for the GPU's threads. It produces chains bit-identical to the
+//     serial reference, so who-wins comparisons against the TPU path are made
+//     on equal physics.
 //   - A throughput/time model (DeviceModel, Cluster) whose single-device rates
 //     are the published flips/ns numbers (exactly as the paper compares
 //     against published numbers) and whose multi-device efficiency captures
@@ -152,12 +152,6 @@ func (c Cluster) StepTime() float64 { return c.ComputeTime() + c.ExchangeTime() 
 func (c Cluster) Throughput() float64 {
 	n := float64(c.LatticeSide) * float64(c.LatticeSide)
 	return n / c.StepTime() / 1e9
-}
-
-// Efficiency returns the parallel efficiency relative to perfect scaling of
-// the single-device throughput.
-func (c Cluster) Efficiency() float64 {
-	return c.Throughput() / (c.Device.FlipsPerNs * float64(c.Devices))
 }
 
 // String summarises the cluster configuration.

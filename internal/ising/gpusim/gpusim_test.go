@@ -3,7 +3,6 @@ package gpusim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"tpuising/internal/ising"
 	"tpuising/internal/ising/checkerboard"
@@ -47,83 +46,6 @@ func TestSamplerDefaultWorkers(t *testing.T) {
 	}
 }
 
-func TestMultiDeviceMatchesSerialReference(t *testing.T) {
-	const rows, cols = 16, 16
-	const temperature = 2.5
-	const seed = 9
-	for _, devices := range []int{1, 2, 4} {
-		m := NewMultiDevice(ising.NewLattice(rows, cols), temperature, seed, devices, 2)
-		m.Run(8)
-		want := referenceChain(rows, cols, temperature, seed, 8)
-		if !m.Lattice.Equal(want) {
-			t.Fatalf("%d devices: chain diverged from the serial reference", devices)
-		}
-	}
-}
-
-func TestMultiDeviceDecompositionInvarianceQuick(t *testing.T) {
-	f := func(seed uint16) bool {
-		run := func(devices int) *ising.Lattice {
-			m := NewMultiDevice(ising.NewLattice(8, 8), 2.269, uint64(seed), devices, 1)
-			m.Run(4)
-			return m.Lattice
-		}
-		return run(2).Equal(run(4))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMultiDeviceExchangeAccounting(t *testing.T) {
-	const rows, cols, devices = 16, 32, 4
-	m := NewMultiDevice(ising.NewLattice(rows, cols), 2.5, 1, devices, 1)
-	m.Run(3)
-	bytes, rounds := m.ExchangedBytes()
-	// Two exchange rounds per sweep (one per colour), each moving 2 rows of 1
-	// byte per spin per device.
-	wantRounds := int64(2 * 3)
-	wantBytes := wantRounds * int64(devices) * int64(2*cols)
-	if rounds != wantRounds {
-		t.Fatalf("rounds = %d, want %d", rounds, wantRounds)
-	}
-	if bytes != wantBytes {
-		t.Fatalf("bytes = %d, want %d", bytes, wantBytes)
-	}
-}
-
-func TestMultiDeviceSingleDeviceNoExchange(t *testing.T) {
-	m := NewMultiDevice(ising.NewLattice(8, 8), 2.5, 1, 1, 1)
-	m.Run(4)
-	if bytes, rounds := m.ExchangedBytes(); bytes != 0 || rounds != 0 {
-		t.Fatalf("single device exchanged %d bytes in %d rounds", bytes, rounds)
-	}
-	if m.Step() != 8 {
-		t.Fatalf("Step = %d", m.Step())
-	}
-	if m.Magnetization() == 0 {
-		t.Fatal("suspicious exactly-zero magnetization from a cold start")
-	}
-}
-
-func TestMultiDevicePanics(t *testing.T) {
-	cases := []func(){
-		func() { NewMultiDevice(ising.NewLattice(8, 8), 2.0, 1, 0, 1) }, // no devices
-		func() { NewMultiDevice(ising.NewLattice(9, 8), 2.0, 1, 2, 1) }, // indivisible
-		func() { NewMultiDevice(ising.NewLattice(8, 8), 2.0, 1, 8, 1) }, // 1-row strips
-	}
-	for i, fn := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d: expected panic", i)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestDeviceModels(t *testing.T) {
 	models := []DeviceModel{PreisGPU(), TeslaV100(), FPGA(), DGX2(), DGX2H()}
 	for _, m := range models {
@@ -152,9 +74,6 @@ func TestClusterSingleDevice(t *testing.T) {
 	if math.Abs(c.Throughput()-PreisGPU().FlipsPerNs) > 1e-9 {
 		t.Fatalf("single-device throughput %v, want %v", c.Throughput(), PreisGPU().FlipsPerNs)
 	}
-	if math.Abs(c.Efficiency()-1) > 1e-12 {
-		t.Fatalf("single-device efficiency %v", c.Efficiency())
-	}
 }
 
 func TestClusterReproducesBlockEtAl(t *testing.T) {
@@ -170,7 +89,7 @@ func TestClusterReproducesBlockEtAl(t *testing.T) {
 	if tput < 150 || tput > 260 {
 		t.Fatalf("modelled throughput %.1f flips/ns, published 206", tput)
 	}
-	if eff := c.Efficiency(); eff > 0.7 {
+	if eff := tput / (64 * PreisGPU().FlipsPerNs); eff > 0.7 {
 		t.Fatalf("efficiency %v too high: host-mediated exchange should hurt", eff)
 	}
 }
@@ -179,7 +98,7 @@ func TestClusterEfficiencyDropsWithDeviceCount(t *testing.T) {
 	prev := 1.1
 	for _, devices := range []int{1, 4, 16, 64} {
 		c := NewCluster(PreisGPU(), devices, 800000)
-		eff := c.Efficiency()
+		eff := c.Throughput() / (c.Device.FlipsPerNs * float64(devices))
 		if eff > prev+1e-12 {
 			t.Fatalf("efficiency increased when adding devices: %v -> %v at %d", prev, eff, devices)
 		}

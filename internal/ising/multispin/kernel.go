@@ -9,8 +9,8 @@ import (
 
 // Kernel is the reusable core of the bit-packed Metropolis update: the two
 // integer acceptance thresholds, the Philox key and the random-sharing mode.
-// It is deliberately free of any lattice geometry — UpdateRow is handed the
-// packed words of one row plus its neighbours and the row's *global*
+// It is deliberately free of any lattice geometry — UpdateRowScratch is handed
+// the packed words of one row plus its neighbours and the row's *global*
 // coordinates, so the whole-lattice Engine and the mesh-sharded engine
 // (internal/ising/sharded) evaluate exactly the same pure function of
 // (seed, step, global site) and stay bit-identical to each other.
@@ -155,9 +155,9 @@ func (s *Scratch) buf(n int) []uint32 {
 	return s.rand[:n]
 }
 
-// UpdateRow performs the colour update of the active sites of one packed
-// lattice row, in place. row holds the W words of the row; north and south
-// are the rows above and below (pre-update snapshots are fine: every
+// UpdateRowScratch performs the colour update of the active sites of one
+// packed lattice row, in place. row holds the W words of the row; north and
+// south are the rows above and below (pre-update snapshots are fine: every
 // neighbour bit consumed belongs to the opposite colour, which this update
 // does not write). westWrap is the word logically west of row[0] (only its
 // bit 63 is consumed) and eastWrap the word logically east of row[W-1] (only
@@ -167,27 +167,17 @@ func (s *Scratch) buf(n int) []uint32 {
 // globalRow and wordOff are the row's global row index and the global word
 // index of row[0]: they key the site randoms and select the active-colour
 // parity, so a shard updating a window of a larger lattice draws exactly the
-// randoms the whole-lattice engine would.
+// randoms the whole-lattice engine would. sc is a caller-owned scratch
+// buffer; the engines keep one per worker goroutine.
 //
-// UpdateRow is the convenience form that brings its own scratch; the engines'
-// hot loops call UpdateRowScratch with a persistent per-worker Scratch
-// instead. Both run the optimized kernel — fused Philox accept masks, tiled
-// column blocking, hoisted word-boundary handling — and are bit-identical to
-// UpdateRowRef, the retained naive reference (pinned by the golden
-// equivalence tests in kernel_equiv_test.go).
-func (k Kernel) UpdateRow(row, north, south []uint64, westWrap, eastWrap uint64, globalRow, wordOff, parity int, step uint64) {
-	var sc Scratch
-	k.UpdateRowScratch(row, north, south, westWrap, eastWrap, globalRow, wordOff, parity, step, &sc)
-}
-
-// UpdateRowScratch is UpdateRow with a caller-owned scratch buffer, the form
-// the engines' hot loops use. Per tile of words, per-site mode gets the
-// sites' a4/a8 acceptance masks from one fused rng.AcceptRow call (Philox and
-// the threshold compare in one pass — the AVX2 kernel when built with the
-// avx2 tag, the portable loop otherwise), and shared mode draws the words'
-// randoms with one rng.BlockRow call. The word loop then applies the masks
-// with the wrap/select branches hoisted into explicit first/middle/last-word
-// handling.
+// The kernel is bit-identical to UpdateRowRef, the retained naive reference
+// (pinned by the golden equivalence tests in kernel_equiv_test.go). Per tile
+// of words, per-site mode gets the sites' a4/a8 acceptance masks from one
+// fused rng.AcceptRow call (Philox and the threshold compare in one pass —
+// the AVX2 kernel when built with the avx2 tag, the portable loop otherwise),
+// and shared mode draws the words' randoms with one rng.BlockRow call. The
+// word loop then applies the masks with the wrap/select branches hoisted into
+// explicit first/middle/last-word handling.
 //
 // Within one colour update the kernel writes only active-colour bits and
 // consumes only inactive-colour neighbour bits, so the word loop may read
@@ -262,7 +252,8 @@ func updateWord(cur, north, south, eastSrc, westSrc, a4, a8, cmask uint64) uint6
 	return cur ^ ((ge2 | one&a4 | zero&a8) & cmask)
 }
 
-// UpdateRowRef is the retained naive reference implementation of UpdateRow:
+// UpdateRowRef is the retained naive reference implementation of
+// UpdateRowScratch:
 // word-at-a-time, branching wrap selection, randoms drawn two blocks at a
 // time inline. It is never called by the engines — it exists so the golden
 // equivalence property test can pin every optimized variant (portable tiled,

@@ -25,19 +25,6 @@ func (s *SiteKeyed) Uniform(step uint64, row, col int) float32 {
 	return Uint32ToUniform(Block(ctr, s.key)[0])
 }
 
-// UniformBlock returns four independent uniforms for (step, row, col); useful
-// when a site needs several random numbers per step.
-func (s *SiteKeyed) UniformBlock(step uint64, row, col int) [4]float32 {
-	ctr := Counter{uint32(step), uint32(step >> 32), uint32(int64(row)), uint32(int64(col))}
-	b := Block(ctr, s.key)
-	return [4]float32{
-		Uint32ToUniform(b[0]),
-		Uint32ToUniform(b[1]),
-		Uint32ToUniform(b[2]),
-		Uint32ToUniform(b[3]),
-	}
-}
-
 // FillGrid fills dst (row-major, rows x cols) with the uniforms of the global
 // sub-rectangle whose top-left corner is (rowOff, colOff) at the given step.
 // dst must have rows*cols elements.

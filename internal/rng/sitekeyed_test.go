@@ -114,17 +114,6 @@ func TestFillGridPanicsOnSizeMismatch(t *testing.T) {
 	NewSiteKeyed(1).FillGrid(make([]float32, 3), 0, 0, 0, 2, 2)
 }
 
-func TestUniformBlockDistinct(t *testing.T) {
-	s := NewSiteKeyed(8)
-	b := s.UniformBlock(2, 3, 4)
-	if b[0] == b[1] && b[1] == b[2] && b[2] == b[3] {
-		t.Error("UniformBlock returned four identical values")
-	}
-	if b[0] != s.Uniform(2, 3, 4) {
-		t.Error("UniformBlock[0] != Uniform")
-	}
-}
-
 func BenchmarkSiteKeyedUniform(b *testing.B) {
 	s := NewSiteKeyed(1)
 	var sink float32

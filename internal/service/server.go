@@ -1166,7 +1166,6 @@ func (s *Server) runTempering(j *Job) {
 		Temperatures: spec.Temperatures,
 		SwapInterval: spec.SwapInterval,
 		Seed:         spec.Seed,
-		Workers:      spec.Workers,
 	}, ladder)
 	if err != nil {
 		s.fail(j, err)

@@ -477,11 +477,13 @@ func TestTemperingJobMatchesDirectEnsemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ens, err := tempering.New(tempering.Config{
-		Temperatures: norm.Temperatures, SwapInterval: norm.SwapInterval, Seed: norm.Seed, Workers: 1,
-	}, func(slot int, temperature float64) (ising.Backend, error) {
-		return backend.New(norm.Backend, backendConfig(norm, temperature, tempering.ReplicaSeed(norm.Seed, slot)))
-	})
+	lanes, err := backend.NewLanes(norm.Backend, backendConfig(norm, 0, norm.Seed), norm.Temperatures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ens, err := tempering.NewBatch(tempering.Config{
+		Temperatures: norm.Temperatures, SwapInterval: norm.SwapInterval, Seed: norm.Seed,
+	}, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}

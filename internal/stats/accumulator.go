@@ -83,9 +83,9 @@ func (a *Accumulator) Min() float64 { return a.st.Min }
 // Max returns the largest sample (0 for an empty accumulator).
 func (a *Accumulator) Max() float64 { return a.st.Max }
 
-// Summary returns the accumulated statistics as a Summary. Unlike Summarize,
-// the StdErr field is the naive (unbinned) standard error, because a
-// streaming accumulator has no series left to bin.
+// Summary returns the accumulated statistics as a Summary. Its StdErr field
+// is the naive (unbinned) standard error, because a streaming accumulator has
+// no series left to bin.
 func (a *Accumulator) Summary() Summary {
 	return Summary{N: a.st.N, Mean: a.Mean(), StdDev: a.StdDev(), StdErr: a.StdErr(),
 		Min: a.Min(), Max: a.Max()}

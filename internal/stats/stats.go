@@ -64,15 +64,6 @@ func Binder(ms []float64) float64 {
 	return 1 - m4/(3*m2*m2)
 }
 
-// Kurtosis returns the excess-free kurtosis <x^4>/<x^2>^2.
-func Kurtosis(xs []float64) float64 {
-	m2 := Moment(xs, 2)
-	if m2 == 0 {
-		return 0
-	}
-	return Moment(xs, 4) / (m2 * m2)
-}
-
 // Autocorrelation returns the normalised autocorrelation of xs at the given
 // lag (1 at lag 0).
 func Autocorrelation(xs []float64, lag int) float64 {
@@ -131,22 +122,4 @@ type Summary struct {
 	StdErr float64
 	Min    float64
 	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs), Mean: Mean(xs), StdDev: StdDev(xs), StdErr: BinnedError(xs, 20)}
-	if len(xs) == 0 {
-		return s
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	for _, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	return s
 }

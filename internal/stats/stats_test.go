@@ -63,16 +63,6 @@ func TestBinderLimits(t *testing.T) {
 	}
 }
 
-func TestKurtosis(t *testing.T) {
-	// For a +-1 distribution, <x^4>/<x^2>^2 = 1.
-	if Kurtosis([]float64{1, -1, 1, -1}) != 1 {
-		t.Error("kurtosis of +-1")
-	}
-	if Kurtosis([]float64{0}) != 0 {
-		t.Error("degenerate kurtosis")
-	}
-}
-
 func TestAutocorrelation(t *testing.T) {
 	// A perfectly alternating sequence has autocorrelation -1 at lag 1.
 	alt := make([]float64, 1000)
@@ -161,16 +151,6 @@ func TestBinnedErrorGrowsWithCorrelation(t *testing.T) {
 	}
 	if BinnedError(corr, 20) < 2*StdErr(corr) {
 		t.Error("binned error should exceed naive error for a correlated chain")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 {
-		t.Errorf("summary %+v", s)
-	}
-	if Summarize(nil).N != 0 {
-		t.Error("empty summary")
 	}
 }
 

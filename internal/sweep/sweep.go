@@ -11,8 +11,8 @@ import (
 )
 
 // Chain is one Markov chain at a fixed temperature. All the samplers in this
-// repository (the TPU simulators, the CPU checkerboard and Metropolis
-// baselines, the GPU-style baseline and the multispin engine) satisfy it;
+// repository (the TPU simulators, the CPU checkerboard baseline, the
+// GPU-style baseline and the multispin engine) satisfy it;
 // every ising.Backend is a Chain (and an EnergyChain).
 type Chain interface {
 	// Sweep advances the chain by one whole-lattice update.

@@ -7,6 +7,7 @@ import (
 	"tpuising/internal/ising"
 	"tpuising/internal/ising/checkerboard"
 	"tpuising/internal/ising/sharded"
+	"tpuising/internal/tempering"
 )
 
 // cpuChain adapts the CPU checkerboard sampler to the Chain interface.
@@ -208,5 +209,18 @@ func TestBinderCrossingErrors(t *testing.T) {
 	e := []Point{{Temperature: 1, Binder: 0.6}, {Temperature: 2, Binder: 0.5}}
 	if cross, err := BinderCrossing(d, e); err != nil || cross != 1 {
 		t.Fatalf("touching curves: cross=%v err=%v", cross, err)
+	}
+}
+
+// TestReplicaSeedDistinct guards the per-slot seed derivation the CLI and
+// harness share.
+func TestReplicaSeedDistinct(t *testing.T) {
+	seen := map[uint64]bool{}
+	for slot := 0; slot < 64; slot++ {
+		s := tempering.ReplicaSeed(9, slot)
+		if seen[s] {
+			t.Fatalf("slot %d reuses seed %d", slot, s)
+		}
+		seen[s] = true
 	}
 }

@@ -29,7 +29,7 @@ func runBoth(a, b *Ensemble, burn, sample int) (Report, Report) {
 }
 
 // TestBatchLadderBitIdenticalToClassic is the acceptance check of the
-// batched tempering path: a ladder over the lane-packed ensemble engine must
+// lane-packed tempering path: a ladder over the ensemble engine must
 // reproduce the classic ladder of separate multispin replicas exactly — the
 // same swap decisions, permutation, per-rung observables, swap counters and
 // work counters — because lane L and replica L are the same chain
@@ -39,7 +39,7 @@ func TestBatchLadderBitIdenticalToClassic(t *testing.T) {
 	const rows, cols, seed = 8, 64, 21
 	temps := ladderOf(4)
 	cfg := Config{Temperatures: temps, SwapInterval: 2, Seed: seed}
-	classic, err := New(cfg, func(slot int, temperature float64) (ising.Backend, error) {
+	classic, err := separateLadder(cfg, func(slot int, temperature float64) (ising.Backend, error) {
 		return backend.New("multispin", backend.Config{
 			Rows: rows, Cols: cols, Temperature: temperature, Seed: ReplicaSeed(seed, slot),
 		})
@@ -78,39 +78,33 @@ func TestBatchLadderBitIdenticalToClassic(t *testing.T) {
 	}
 }
 
-// TestBatchLadderOverAdapter: the generic batch adapter (separate backends
-// behind the BatchBackend interface) must also reproduce the classic ladder
-// exactly — batching is an execution strategy at every layer.
+// TestBatchLadderOverAdapter: the lanes backend.NewLanes builds must be the
+// replicas a caller builds slot by slot with ReplicaSeed — the same chains,
+// so the same ladder bit for bit. It pins the seed rule NewLanes callers
+// rely on for engines without a lane-packed form.
 func TestBatchLadderOverAdapter(t *testing.T) {
 	const rows, cols, seed = 8, 8, 5
 	temps := ladderOf(3)
 	cfg := Config{Temperatures: temps, SwapInterval: 1, Seed: seed}
-	build := func(slot int, temperature float64) (ising.Backend, error) {
+	classic, err := separateLadder(cfg, func(slot int, temperature float64) (ising.Backend, error) {
 		return backend.New("checkerboard", backend.Config{
 			Rows: rows, Cols: cols, Temperature: temperature, Seed: ReplicaSeed(seed, slot),
 		})
-	}
-	classic, err := New(cfg, build)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanes := make([]ising.Backend, len(temps))
-	for slot, temp := range temps {
-		if lanes[slot], err = build(slot, temp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	adapter, err := ising.NewBatchOf(lanes, 0)
+	lanes, err := backend.NewLanes("checkerboard", backend.Config{Rows: rows, Cols: cols, Seed: seed}, temps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := NewBatch(cfg, adapter)
+	batched, err := NewBatch(cfg, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	repA, repB := runBoth(classic, batched, 2, 6)
 	if !reflect.DeepEqual(repA, repB) {
-		t.Fatalf("adapter ladder report differs from classic:\nclassic: %+v\nbatched: %+v", repA, repB)
+		t.Fatalf("NewLanes ladder report differs from classic:\nclassic: %+v\nbatched: %+v", repA, repB)
 	}
 }
 

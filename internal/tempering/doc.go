@@ -11,11 +11,12 @@
 // # Composition, not selection
 //
 // This is the first subsystem that composes backends instead of selecting
-// one: each replica is any ising.Backend that implements ising.Tempered —
-// every registered engine does (checkerboard, gpusim, multispin,
-// multispin-shared, sharded, tpu) — and different replicas may even use
-// different engines. The orchestrator drives the replicas' sweeps through a
-// worker pool and runs the swap phases serially between them.
+// one: the replicas are the lanes of one ising.BatchTempered, and every
+// registered engine can provide them — the lane-packed engines
+// (internal/ising/ensemble, internal/ising/shardedensemble) directly, any
+// other engine as separate replicas behind ising.NewBatchOf
+// (backend.NewBatchLadder picks). The orchestrator advances every rung with
+// one batch Sweep and runs the swap phases serially between sweeps.
 //
 // # The swap move
 //
@@ -23,7 +24,7 @@
 // with total (extensive) energies E_t and E_{t+1} accepts with probability
 // min(1, exp((beta_t - beta_{t+1}) (E_t - E_{t+1}))), which preserves
 // detailed balance of the product ensemble. On acceptance the two replicas
-// swap temperature labels in place — SetTemperature on each — rather than
+// swap temperature labels in place — SetLaneTemperature on each — rather than
 // exchanging lattice configurations, so the exchange layer moves two 8-byte
 // energies per attempted pair regardless of lattice size
 // (perf.ExchangeTraffic models this; the orchestrator's SwapCounts mirror it
@@ -35,8 +36,9 @@
 // The uniform deciding the swap of pair t at round r is a pure function of
 // (seed, r, t) via rng.PairKeyed, and every replica's own chain is
 // site-keyed, so a run is bit-reproducible at fixed seed and independent of
-// Config.Workers, of GOMAXPROCS and of the replicas' internal worker counts
-// (asserted by this package's determinism tests).
+// GOMAXPROCS, of how many lanes the batch sweeps concurrently and of the
+// replicas' internal worker counts (asserted by this package's determinism
+// tests). Config.Workers is not read.
 //
 // # Observables
 //

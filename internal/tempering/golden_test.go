@@ -10,15 +10,15 @@ import (
 	"tpuising/internal/ising/backend"
 )
 
-// goldenReports runs one fixed-seed ladder through both constructors — the
-// classic per-replica ensemble and the batched one — and returns their
+// goldenReports runs one fixed-seed ladder over both engines — separate
+// multispin replicas and the lane-packed ensemble — and returns their
 // reports.
 func goldenReports(t *testing.T) (classic, batched Report) {
 	t.Helper()
 	const rows, cols, seed = 32, 64, 5
 	temps := ladder(rows, cols, 4)
 	cfg := Config{Temperatures: temps, SwapInterval: 2, Seed: seed, Workers: 1}
-	ens, err := New(cfg, multispinLadder(t, rows, cols, seed, 1))
+	ens, err := separateLadder(cfg, multispinLadder(t, rows, cols, seed, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,9 +37,9 @@ func goldenReports(t *testing.T) (classic, batched Report) {
 	return ens.Report(), bat.Report()
 }
 
-// TestReportGolden pins a fixed-seed ladder's Report, from both
-// constructors, to values captured before the per-rung series were reduced
-// to one magnetisation series and a running energy sum.
+// TestReportGolden pins a fixed-seed ladder's Report, over both engines, to
+// values captured before the per-rung series were reduced to one
+// magnetisation series and a running energy sum.
 func TestReportGolden(t *testing.T) {
 	blob, err := os.ReadFile(filepath.Join("testdata", "report.golden.json"))
 	if err != nil {

@@ -3,8 +3,6 @@ package tempering
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"tpuising/internal/device/metrics"
 	"tpuising/internal/ising"
@@ -17,10 +15,10 @@ import (
 // so replicas never share site-keyed streams. It is ising.LaneSeed — the one
 // seed-derivation rule of the batch axis — which is what makes a ladder run
 // as a lane-packed ensemble (NewBatch over internal/ising/ensemble)
-// bit-identical to the same ladder run as separate backends: lane L and
-// replica L are the same chain. The swap-decision stream uses the run seed
-// itself through rng.PairKeyed, whose key derivation is independent of every
-// site-keyed stream.
+// bit-identical to the same ladder run as separate backends behind
+// ising.NewBatchOf: lane L and replica L are the same chain. The
+// swap-decision stream uses the run seed itself through rng.PairKeyed, whose
+// key derivation is independent of every site-keyed stream.
 func ReplicaSeed(seed uint64, slot int) uint64 {
 	return ising.LaneSeed(seed, slot)
 }
@@ -58,8 +56,8 @@ type Config struct {
 	// Seed seeds the pair/round-keyed swap-decision stream (the replicas'
 	// own streams are seeded by their constructors).
 	Seed uint64
-	// Workers is the number of replicas swept concurrently (0 = GOMAXPROCS).
-	// It only changes wall-clock time, never any result.
+	// Workers is not read: how many rungs sweep concurrently is the batch
+	// backend's own setting (for example ising.NewBatchOf's workers).
 	Workers int
 }
 
@@ -67,9 +65,6 @@ func (c Config) withDefaults() Config {
 	out := c
 	if out.SwapInterval <= 0 {
 		out.SwapInterval = 1
-	}
-	if out.Workers <= 0 {
-		out.Workers = runtime.GOMAXPROCS(0)
 	}
 	return out
 }
@@ -81,15 +76,12 @@ type Ensemble struct {
 	cfg   Config
 	betas []float64
 
-	// Exactly one execution strategy is set. replicas[i] is the i-th
-	// configuration walker as its own backend (New); batch is one
-	// ising.BatchTempered whose lane i is walker i (NewBatch) — the ladder
-	// then runs as a single batched ensemble, one Sweep advancing every rung.
-	// Either way a walker's lattice stays put for the whole run while its
-	// temperature label moves.
-	replicas []ising.Tempered
-	batch    ising.BatchTempered
-	spins    int
+	// batch is one ising.BatchTempered whose lane i is walker i: the ladder
+	// runs as a single batched ensemble, one Sweep advancing every rung. A
+	// walker's lattice stays put for the whole run while its temperature
+	// label moves.
+	batch ising.BatchTempered
+	spins int
 	// slot[t] is the replica currently at temperature index t; tempOf is the
 	// inverse permutation.
 	slot, tempOf []int
@@ -114,8 +106,7 @@ type Ensemble struct {
 	energySum []float64
 }
 
-// newEnsemble validates the ladder and builds the walker bookkeeping shared
-// by both execution strategies.
+// newEnsemble validates the ladder and builds the walker bookkeeping.
 func newEnsemble(c Config) (*Ensemble, error) {
 	n := len(c.Temperatures)
 	if n < 2 {
@@ -153,38 +144,6 @@ func newEnsemble(c Config) (*Ensemble, error) {
 	return e, nil
 }
 
-// New builds an ensemble of separate backends. newBackend is called once per
-// ladder slot, in ascending temperature order, and must return an engine
-// equilibrated from scratch at that temperature; every returned engine must
-// implement ising.Tempered (all host backends do) and all must share one
-// lattice size.
-func New(cfg Config, newBackend func(slot int, temperature float64) (ising.Backend, error)) (*Ensemble, error) {
-	e, err := newEnsemble(cfg.withDefaults())
-	if err != nil {
-		return nil, err
-	}
-	e.replicas = make([]ising.Tempered, len(e.betas))
-	for t, temp := range e.cfg.Temperatures {
-		b, err := newBackend(t, temp)
-		if err != nil {
-			return nil, fmt.Errorf("tempering: building replica %d (T=%g): %w", t, temp, err)
-		}
-		rep, ok := b.(ising.Tempered)
-		if !ok {
-			return nil, fmt.Errorf("tempering: backend %s cannot change temperature (does not implement ising.Tempered)",
-				b.Name())
-		}
-		if t == 0 {
-			e.spins = rep.N()
-		} else if rep.N() != e.spins {
-			return nil, fmt.Errorf("tempering: replica %d has %d spins, replica 0 has %d (all replicas must share one lattice size)",
-				t, rep.N(), e.spins)
-		}
-		e.replicas[t] = rep
-	}
-	return e, nil
-}
-
 // NewBatch builds an ensemble over one batched backend: lane t of the batch
 // is the walker starting at ladder slot t. The batch must implement
 // ising.BatchTempered (so an accepted swap can re-label two lanes in place),
@@ -196,9 +155,9 @@ func New(cfg Config, newBackend func(slot int, temperature float64) (ising.Backe
 // (ReplicaSeed == ising.LaneSeed), a ladder over the lane-packed engine of
 // internal/ising/ensemble is bit-identical — same swap decisions, same
 // per-rung observables, same swap counters — to the same ladder over
-// separate multispin replicas, which the equivalence tests assert. The win
-// is execution: one Sweep advances every rung through one pass of the packed
-// kernel instead of N separate engine sweeps.
+// separate multispin replicas behind ising.NewBatchOf, which the equivalence
+// tests assert. The win is execution: one Sweep advances every rung through
+// one pass of the packed kernel instead of N separate engine sweeps.
 func NewBatch(cfg Config, batch ising.BatchBackend) (*Ensemble, error) {
 	e, err := newEnsemble(cfg.withDefaults())
 	if err != nil {
@@ -246,56 +205,20 @@ func (e *Ensemble) Rounds() uint64 { return e.round }
 // currently holding temperature t.
 func (e *Ensemble) Permutation() []int { return append([]int(nil), e.slot...) }
 
-// Backend returns the engine currently holding temperature slot t. For a
-// batched ensemble it is a read-only lane view (observables and identity
-// read through; it cannot sweep a single rung).
+// Backend returns a read-only view of the lane currently holding temperature
+// slot t (observables and identity read through; it cannot sweep a single
+// rung).
 func (e *Ensemble) Backend(t int) ising.Backend {
-	if e.batch != nil {
-		return ising.LaneView(e.batch, e.slot[t])
-	}
-	return e.replicas[e.slot[t]]
+	return ising.LaneView(e.batch, e.slot[t])
 }
 
-// SweepReplicas advances every replica by k sweeps — for a batched ensemble
-// one batch Sweep per step advances all rungs, otherwise up to Config.Workers
-// separate replicas run concurrently. The chains are independent between
-// swap phases, so the concurrency never changes any result.
+// SweepReplicas advances every replica by k sweeps: one batch Sweep per
+// step advances all rungs. The chains are independent between swap phases,
+// so how the batch spreads its lanes over cores never changes any result.
 func (e *Ensemble) SweepReplicas(k int) {
-	if k <= 0 {
-		return
+	for i := 0; i < k; i++ {
+		e.batch.Sweep()
 	}
-	if e.batch != nil {
-		for i := 0; i < k; i++ {
-			e.batch.Sweep()
-		}
-		return
-	}
-	workers := e.cfg.Workers
-	if workers > len(e.replicas) {
-		workers = len(e.replicas)
-	}
-	if workers <= 1 {
-		for _, r := range e.replicas {
-			for i := 0; i < k; i++ {
-				r.Sweep()
-			}
-		}
-		return
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for _, r := range e.replicas {
-		wg.Add(1)
-		go func(r ising.Tempered) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			for i := 0; i < k; i++ {
-				r.Sweep()
-			}
-		}(r)
-	}
-	wg.Wait()
 }
 
 // AttemptSwaps performs one swap phase: every active adjacent pair (even
@@ -305,23 +228,14 @@ func (e *Ensemble) SweepReplicas(k int) {
 // of (seed, round, pair) — independent of workers and timing.
 func (e *Ensemble) AttemptSwaps() {
 	n := len(e.betas)
-	// For a batched ensemble one pass yields every walker's energy (the
-	// packed engine computes all lanes in one sweep over the words).
-	var laneEnergies []float64
-	if e.batch != nil {
-		laneEnergies = e.batch.Energies()
-	}
-	walkerEnergy := func(w int) float64 {
-		if laneEnergies != nil {
-			return laneEnergies[w]
-		}
-		return e.replicas[w].Energy()
-	}
+	// One pass yields every walker's energy (the packed engine computes all
+	// lanes in one sweep over the words).
+	energies := e.batch.Energies()
 	parity := int(e.round & 1)
 	for t := parity; t+1 < n; t += 2 {
 		a, b := e.slot[t], e.slot[t+1]
-		ea := walkerEnergy(a) * float64(e.spins)
-		eb := walkerEnergy(b) * float64(e.spins)
+		ea := energies[a] * float64(e.spins)
+		eb := energies[b] * float64(e.spins)
 		// The two replicas exchange their extensive energies; the decision is
 		// then a shared pure function, needing no further communication.
 		e.swapComm.CommBytes += 2 * perf.EnergyMessageBytes
@@ -334,13 +248,8 @@ func (e *Ensemble) AttemptSwaps() {
 			e.pairAccepts[t]++
 			e.slot[t], e.slot[t+1] = b, a
 			e.tempOf[a], e.tempOf[b] = t+1, t
-			if e.batch != nil {
-				e.batch.SetLaneTemperature(a, e.cfg.Temperatures[t+1])
-				e.batch.SetLaneTemperature(b, e.cfg.Temperatures[t])
-			} else {
-				e.replicas[a].SetTemperature(e.cfg.Temperatures[t+1])
-				e.replicas[b].SetTemperature(e.cfg.Temperatures[t])
-			}
+			e.batch.SetLaneTemperature(a, e.cfg.Temperatures[t+1])
+			e.batch.SetLaneTemperature(b, e.cfg.Temperatures[t])
 		}
 	}
 	e.round++
@@ -380,18 +289,10 @@ func (e *Ensemble) RunRounds(n int) {
 // Measure records one sample per temperature slot from whichever replica
 // currently holds it.
 func (e *Ensemble) Measure() {
-	if e.batch != nil {
-		ms, es := e.batch.Magnetizations(), e.batch.Energies()
-		for t := range e.betas {
-			e.ms[t] = append(e.ms[t], ms[e.slot[t]])
-			e.energySum[t] += es[e.slot[t]]
-		}
-		return
-	}
+	ms, es := e.batch.Magnetizations(), e.batch.Energies()
 	for t := range e.betas {
-		r := e.replicas[e.slot[t]]
-		e.ms[t] = append(e.ms[t], r.Magnetization())
-		e.energySum[t] += r.Energy()
+		e.ms[t] = append(e.ms[t], ms[e.slot[t]])
+		e.energySum[t] += es[e.slot[t]]
 	}
 }
 
@@ -412,13 +313,7 @@ func (e *Ensemble) SwapCounts() metrics.Counts { return e.swapComm }
 // layer's swap traffic.
 func (e *Ensemble) Counts() metrics.Counts {
 	total := e.swapComm
-	if e.batch != nil {
-		total.Add(e.batch.Counts())
-		return total
-	}
-	for _, r := range e.replicas {
-		total.Add(r.Counts())
-	}
+	total.Add(e.batch.Counts())
 	return total
 }
 

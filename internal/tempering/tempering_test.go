@@ -11,7 +11,27 @@ import (
 	"tpuising/internal/ising/multispin"
 	"tpuising/internal/perf"
 	"tpuising/internal/stats"
+	"tpuising/internal/sweep"
 )
+
+// separateLadder builds one engine per ladder slot with newBackend (in
+// ascending temperature order), lifts them into a batch through
+// ising.NewBatchOf with cfg.Workers concurrent lanes, and runs the ladder
+// over that batch: the separate-replica form of a tempering ensemble.
+func separateLadder(cfg Config, newBackend func(slot int, temperature float64) (ising.Backend, error)) (*Ensemble, error) {
+	engines := make([]ising.Backend, len(cfg.Temperatures))
+	for slot, temp := range cfg.Temperatures {
+		var err error
+		if engines[slot], err = newBackend(slot, temp); err != nil {
+			return nil, err
+		}
+	}
+	batch, err := ising.NewBatchOf(engines, cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return NewBatch(cfg, batch)
+}
 
 // multispinLadder returns a newBackend callback building multispin replicas
 // of one lattice size with per-slot seeds and the given worker count.
@@ -26,8 +46,7 @@ func multispinLadder(t *testing.T, rows, cols int, seed uint64, workers int) fun
 }
 
 // ladder returns n evenly spaced temperatures across the default critical
-// window of a rows x cols lattice (sweep.CriticalWindow cannot be used here:
-// sweep imports tempering).
+// window of a rows x cols lattice.
 func ladder(rows, cols, n int) []float64 {
 	tc := ising.CriticalTemperature()
 	w := DefaultWindow(rows*cols, n)
@@ -66,7 +85,7 @@ func TestSwapAcceptanceMatchesAnalyticProbability(t *testing.T) {
 	accepted := 0
 	var want float64
 	for seed := uint64(0); seed < trials; seed++ {
-		ens, err := New(Config{Temperatures: []float64{t0, t1}, Seed: seed},
+		ens, err := separateLadder(Config{Temperatures: []float64{t0, t1}, Seed: seed},
 			newBackend(flipped))
 		if err != nil {
 			t.Fatal(err)
@@ -94,11 +113,11 @@ func TestSwapAcceptanceMatchesAnalyticProbability(t *testing.T) {
 }
 
 // TestDeterminismAcrossWorkers runs the same ensemble with 1 and 8 workers
-// (both the orchestrator's pool and the replicas' band parallelism) and
+// (both the batch adapter's lane pool and the replicas' band parallelism) and
 // requires bit-identical reports, permutations and final configurations.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	run := func(workers int) (Report, []int, []float64) {
-		ens, err := New(Config{
+		ens, err := separateLadder(Config{
 			Temperatures: ladder(64, 64, 4),
 			SwapInterval: 2,
 			Seed:         7,
@@ -132,7 +151,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 // measured swap counters to equal perf.ExchangeTraffic's analytic model.
 func TestSwapCountsMatchExchangeTraffic(t *testing.T) {
 	const replicas, rounds = 5, 7
-	ens, err := New(Config{
+	ens, err := separateLadder(Config{
 		Temperatures: ladder(16, 64, replicas),
 		SwapInterval: 1,
 		Seed:         3,
@@ -169,7 +188,7 @@ func TestSwapCountsMatchExchangeTraffic(t *testing.T) {
 // the exchange layer actually moves: healthy acceptance and, on a long
 // two-replica run, completed round trips.
 func TestPhysicsAcrossTheLadder(t *testing.T) {
-	ens, err := New(Config{
+	ens, err := separateLadder(Config{
 		Temperatures: ladder(64, 64, 4),
 		SwapInterval: 2,
 		Seed:         1,
@@ -206,10 +225,42 @@ func TestPhysicsAcrossTheLadder(t *testing.T) {
 	}
 }
 
+// TestLadderMatchesIndependentChainsAwayFromTc: far from the critical point
+// replica exchange must agree with independent chains within error bars (the
+// swap move preserves each temperature's stationary distribution).
+func TestLadderMatchesIndependentChainsAwayFromTc(t *testing.T) {
+	temps := []float64{1.9, 3.4}
+	newBackend := func(temperature float64) ising.Backend {
+		b, err := backend.New("multispin", backend.Config{
+			Rows: 32, Cols: 64, Temperature: temperature, Seed: 11,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	indep := sweep.RunBackends(sweep.Config{Temperatures: temps, BurnIn: 60, Samples: 120}, newBackend)
+	ens, err := separateLadder(Config{Temperatures: temps, SwapInterval: 3, Seed: 5},
+		func(_ int, temperature float64) (ising.Backend, error) { return newBackend(temperature), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ens.RunRounds(20) // 60 burn-in sweeps
+	ens.Sample(120)
+	for i, rr := range ens.Report().Replicas {
+		diff := math.Abs(indep[i].AbsMagnetization - rr.AbsMagnetization)
+		tol := 5*(indep[i].AbsMagnetizationErr+rr.AbsMagnetizationErr) + 0.02
+		if diff > tol {
+			t.Errorf("T=%g: independent |m|=%.4f vs tempered |m|=%.4f (diff %.4f > tol %.4f)",
+				temps[i], indep[i].AbsMagnetization, rr.AbsMagnetization, diff, tol)
+		}
+	}
+}
+
 // TestRoundTripsAccumulate: two close temperatures on a tiny lattice swap
 // constantly, so walkers must complete bottom->top->bottom round trips.
 func TestRoundTripsAccumulate(t *testing.T) {
-	ens, err := New(Config{
+	ens, err := separateLadder(Config{
 		Temperatures: []float64{2.26, 2.28},
 		SwapInterval: 1,
 		Seed:         2,
@@ -232,7 +283,7 @@ func TestRoundTripsAccumulate(t *testing.T) {
 // walkers that start away from the bottom.
 func TestRoundTripsMatchStatsRoundTrips(t *testing.T) {
 	const replicas, rounds = 4, 300
-	ens, err := New(Config{
+	ens, err := separateLadder(Config{
 		Temperatures: []float64{2.25, 2.26, 2.27, 2.28},
 		SwapInterval: 1,
 		Seed:         4,
@@ -266,18 +317,24 @@ func TestRoundTripsMatchStatsRoundTrips(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	mk := multispinLadder(t, 4, 64, 1, 0)
-	if _, err := New(Config{Temperatures: []float64{2.0}}, mk); err == nil {
+	// The engines are built at a valid temperature whatever the ladder says,
+	// so every rejection below comes from the ladder validation itself.
+	mk := func(slot int, _ float64) (ising.Backend, error) {
+		return backend.New("multispin", backend.Config{
+			Rows: 4, Cols: 64, Temperature: 2.0, Seed: ReplicaSeed(1, slot),
+		})
+	}
+	if _, err := separateLadder(Config{Temperatures: []float64{2.0}}, mk); err == nil {
 		t.Error("single-temperature ladder should fail")
 	}
-	if _, err := New(Config{Temperatures: []float64{2.5, 2.0}}, mk); err == nil {
+	if _, err := separateLadder(Config{Temperatures: []float64{2.5, 2.0}}, mk); err == nil {
 		t.Error("descending ladder should fail")
 	}
-	if _, err := New(Config{Temperatures: []float64{-1, 2.0}}, mk); err == nil {
+	if _, err := separateLadder(Config{Temperatures: []float64{-1, 2.0}}, mk); err == nil {
 		t.Error("non-positive temperature should fail")
 	}
 	// Mismatched lattice sizes across replicas.
-	_, err := New(Config{Temperatures: []float64{2.0, 2.5}},
+	_, err := separateLadder(Config{Temperatures: []float64{2.0, 2.5}},
 		func(slot int, temperature float64) (ising.Backend, error) {
 			return backend.New("multispin", backend.Config{
 				Rows: 2 + 2*slot, Cols: 64, Temperature: temperature,
@@ -309,7 +366,7 @@ func TestDefaultWindow(t *testing.T) {
 // tempering layer's contract is "any registered Backend".
 func TestEveryBackendTempers(t *testing.T) {
 	for _, name := range backend.Names() {
-		ens, err := New(Config{Temperatures: []float64{2.2, 2.4}, Seed: 1},
+		ens, err := separateLadder(Config{Temperatures: []float64{2.2, 2.4}, Seed: 1},
 			func(slot int, temperature float64) (ising.Backend, error) {
 				return backend.New(name, backend.Config{
 					Rows: 4, Cols: 64, Temperature: temperature,

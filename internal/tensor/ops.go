@@ -46,18 +46,6 @@ func Scale(a *Tensor, s float32) *Tensor {
 	return out.round()
 }
 
-// AddScalar returns a + s element-wise.
-func AddScalar(a *Tensor, s float32) *Tensor {
-	out := New(a.dtype, a.shape...)
-	for i := range out.data {
-		out.data[i] = a.data[i] + s
-	}
-	return out.round()
-}
-
-// Neg returns -a.
-func Neg(a *Tensor) *Tensor { return Scale(a, -1) }
-
 // Exp returns exp(a) element-wise.
 func Exp(a *Tensor) *Tensor {
 	out := New(a.dtype, a.shape...)
@@ -165,15 +153,6 @@ func MinMax(a *Tensor) (min, max float32) {
 	return min, max
 }
 
-// Apply returns f applied element-wise to a.
-func Apply(a *Tensor, f func(float32) float32) *Tensor {
-	out := New(a.dtype, a.shape...)
-	for i, v := range a.data {
-		out.data[i] = f(v)
-	}
-	return out.round()
-}
-
 // Transpose returns the transpose of a rank-2 tensor.
 func Transpose(a *Tensor) *Tensor {
 	if a.Rank() != 2 {
@@ -187,15 +166,4 @@ func Transpose(a *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// CountNonZero returns the number of non-zero elements.
-func CountNonZero(a *Tensor) int {
-	n := 0
-	for _, v := range a.data {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
 }

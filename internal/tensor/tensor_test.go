@@ -160,12 +160,6 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Scale(a, 0.5).Data(); got[1] != 1 {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := AddScalar(a, 1).Data(); got[0] != 2 {
-		t.Errorf("AddScalar = %v", got)
-	}
-	if got := Neg(a).Data(); got[0] != -1 {
-		t.Errorf("Neg = %v", got)
-	}
 	e := Exp(Zeros(2, 2))
 	if e.At(0, 0) != 1 {
 		t.Errorf("Exp(0) = %v", e.At(0, 0))
@@ -221,17 +215,10 @@ func TestReductions(t *testing.T) {
 	if mn != 1 || mx != 4 {
 		t.Errorf("MinMax = %v %v", mn, mx)
 	}
-	if CountNonZero(FromSlice(Float32, []float32{0, 1, 0, 2}, 4)) != 2 {
-		t.Error("CountNonZero")
-	}
 }
 
-func TestApplyTranspose(t *testing.T) {
+func TestTranspose(t *testing.T) {
 	a := FromSlice(Float32, []float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	sq := Apply(a, func(v float32) float32 { return v * v })
-	if sq.At(1, 2) != 36 {
-		t.Error("Apply")
-	}
 	tr := Transpose(a)
 	if tr.Dim(0) != 3 || tr.Dim(1) != 2 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
 		t.Errorf("Transpose = %v %v", tr.Shape(), tr.Data())
