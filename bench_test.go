@@ -429,8 +429,7 @@ func BenchmarkEnsembleShared64_1024(b *testing.B) {
 // replaces: the same 64 chains as separate per-site multispin engines
 // (lane-derived seeds), swept one after another. One iteration sweeps every
 // chain once, so host_flips/ns is directly comparable with
-// BenchmarkEnsemble64_256 and BenchmarkEnsembleShared64_256 — the measured
-// ensemble speedup also lands in the host_ensemble_scaling benchtable.
+// BenchmarkEnsemble64_256 and BenchmarkEnsembleShared64_256.
 func BenchmarkEnsembleSequential64_256(b *testing.B) {
 	const size, lanes = 256, 64
 	engines := make([]ising.Backend, lanes)

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	benchtables [-out results] [-stdout]
+//	benchtables [-out results] [-stdout] [-host] [-hostsweeps 10]
 //
 // The correctness figures (4 and 7), which run real Monte-Carlo chains, are
 // generated by the separate cmd/correctness binary.
@@ -25,7 +25,7 @@ func main() {
 	out := flag.String("out", "results", "directory for the generated .txt and .csv files")
 	stdout := flag.Bool("stdout", false, "also print every table to standard output")
 	host := flag.Bool("host", false,
-		"also measure the host_baselines, host_kernel_variants, host_shard_scaling, host_tempering_scaling, host_ensemble_scaling and host_sharded_ensemble_scaling tables (real CPU-engine throughput on this machine)")
+		"also measure the host_baselines (Table 1 / Figure 8), host_shard_scaling and host_sharded_ensemble_scaling (Table 4) tables: real CPU-engine throughput on this machine beside the paper's tables")
 	hostSweeps := flag.Int("hostsweeps", 10, "timed sweeps per host table cell")
 	flag.Parse()
 
@@ -43,10 +43,7 @@ func run(outDir string, stdout, host bool, hostSweeps int) error {
 	if host {
 		tables = append(tables,
 			harness.HostBaselines([]int{256, 1024, 4096}, hostSweeps),
-			harness.HostKernelVariants(256, hostSweeps),
 			harness.HostShardScaling(4096, [][2]int{{1, 1}, {1, 2}, {2, 2}, {2, 4}, {4, 4}}, hostSweeps),
-			harness.HostTemperingScaling(1024, []int{2, 4, 8}, hostSweeps),
-			harness.HostEnsembleScaling(256, []int{8, 32, 64}, hostSweeps),
 			harness.HostShardedEnsembleScaling(256, 64, [][2]int{{1, 1}, {2, 2}, {2, 4}}, hostSweeps),
 		)
 	}

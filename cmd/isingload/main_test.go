@@ -13,7 +13,7 @@ import (
 // and write a snapshot — then read the snapshot back and make sure it is
 // the run we just made.
 func TestRunSelfHostedSmoke(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_smoke.json")
+	out := filepath.Join(t.TempDir(), "snapshot.json")
 	err := run([]string{
 		"-duration", "800ms",
 		"-submitters", "2",
@@ -23,7 +23,6 @@ func TestRunSelfHostedSmoke(t *testing.T) {
 		"-sweeps", "40",
 		"-interval", "10",
 		"-workers", "2",
-		"-bench", "smoke",
 		"-out", out,
 	}, os.Stdout)
 	if err != nil {
@@ -33,8 +32,8 @@ func TestRunSelfHostedSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading snapshot: %v", err)
 	}
-	if snap.Bench != "smoke" || !snap.Passed || snap.Service == nil {
-		t.Fatalf("snapshot: bench=%q passed=%v service=%v", snap.Bench, snap.Passed, snap.Service)
+	if !snap.Passed || snap.Service == nil {
+		t.Fatalf("snapshot: passed=%v service=%v", snap.Passed, snap.Service)
 	}
 	if snap.Service.JobsDone == 0 || snap.Service.Requests == 0 {
 		t.Fatalf("snapshot shows no traffic: %+v", snap.Service)

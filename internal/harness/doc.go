@@ -7,7 +7,10 @@
 // produced by the calibrated performance model in internal/perf driven by the
 // analytic work estimator, because the paper-scale lattices and pods cannot
 // be materialised on a workstation; the correctness figures (4, 7) run the
-// real Markov chains on the TensorCore simulator at laptop scale. The mapping
+// real Markov chains on the TensorCore simulator at laptop scale. The three
+// host tables put a measured CPU column beside a paper table:
+// HostBaselines beside Table 1 / Figure 8, HostShardScaling and
+// HostShardedEnsembleScaling beside Table 4. The mapping
 // from experiment to modules, and the paper-vs-measured comparison, is
 // recorded in DESIGN.md and EXPERIMENTS.md.
 package harness

@@ -3,123 +3,10 @@ package harness
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"tpuising/internal/ising"
-	"tpuising/internal/ising/backend"
 	"tpuising/internal/ising/ensemble"
-	"tpuising/internal/perf"
 )
-
-// HostEnsembleScaling measures the lane-packed ensemble engine on one
-// lattice size across lane counts: every row times `sweeps` whole-ensemble
-// sweeps of the exact (per-lane random) and shared (per-ΔE-class random)
-// modes against the same replicas run as B sequential single-chain multispin
-// engines, and pairs the measured aggregate host_flips/ns with the modelled
-// footprint and random-stream cost of perf.EnsembleFootprint — whose packed
-// bytes the engine reproduces exactly. The speedup columns are the batch
-// axis's headline: the exact mode holds parity per lane while opening
-// per-lane temperatures, and the shared mode's class-shared draws cut the
-// Philox work by lanes/2, which is where the large aggregate speedup over
-// sequential chains comes from.
-func HostEnsembleScaling(size int, laneCounts []int, sweeps int) *Table {
-	t := &Table{
-		ID: "host_ensemble_scaling",
-		Title: fmt.Sprintf(
-			"Measured lane-packed ensemble throughput on a %dx%d lattice vs sequential multispin chains", size, size),
-		Columns: []string{
-			"lanes", "ensemble flips/ns", "shared flips/ns", "sequential flips/ns",
-			"ensemble speedup", "shared speedup", "packed KiB", "model rng savings",
-		},
-	}
-	for _, lanes := range laneCounts {
-		exact := measureEnsemble(size, lanes, sweeps, false)
-		shared := measureEnsemble(size, lanes, sweeps, true)
-		sequential := measureSequentialChains(size, lanes, sweeps)
-		model := perf.EnsembleFootprint(perf.EnsembleSpec{Rows: size, Cols: size, Lanes: lanes, Shared: true})
-		t.AddRow(
-			lanes,
-			fmt.Sprintf("%.4f", exact),
-			fmt.Sprintf("%.4f", shared),
-			fmt.Sprintf("%.4f", sequential),
-			fmt.Sprintf("%.2fx", ratio(exact, sequential)),
-			fmt.Sprintf("%.2fx", ratio(shared, sequential)),
-			fmt.Sprintf("%d", model.PackedBytes>>10),
-			fmt.Sprintf("%.0fx", model.RNGSavings),
-		)
-	}
-	t.Notes = append(t.Notes,
-		"aggregate measured wall clock on this machine: lattice spins x lanes x sweeps / elapsed ns",
-		"sequential = the same lanes as separate per-site multispin engines, swept one after another",
-		"ensemble (exact) mode draws per lane and is bit-identical to the sequential chains; shared mode draws once per ΔE class per site (Block/Virnau/Preis), trading weak cross-lane correlations for the modelled rng savings",
-		fmt.Sprintf("%d timed sweeps per cell after 2 warm-up sweeps", sweeps),
-	)
-	return t
-}
-
-// ratio guards the speedup columns against a zero-time baseline.
-func ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
-// MeasureEnsembleAggregate measures the lane-packed ensemble engine's
-// aggregate host throughput (flips/ns over all lanes) — the single-cell
-// version of the HostEnsembleScaling table, exported so cmd/isingload can
-// embed the batch axis's headline number in its BENCH_*.json snapshots.
-func MeasureEnsembleAggregate(size, lanes, sweeps int, shared bool) float64 {
-	return measureEnsemble(size, lanes, sweeps, shared)
-}
-
-// measureEnsemble times sweeps of one packed ensemble and returns aggregate
-// flips/ns over all lanes.
-func measureEnsemble(size, lanes, sweeps int, shared bool) float64 {
-	e, err := ensemble.New(ensemble.Config{
-		Rows: size, Cols: size, Lanes: lanes, Temperature: 2.5, Seed: 1, SharedRandom: shared,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	e.Run(2) // warm up caches and goroutine pools
-	start := time.Now()
-	e.Run(sweeps)
-	elapsed := time.Since(start)
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(size) * float64(size) * float64(lanes) * float64(sweeps) / float64(elapsed.Nanoseconds())
-}
-
-// measureSequentialChains times the baseline the ensemble replaces: the same
-// lanes as separate per-site multispin engines (lane-derived seeds), swept
-// one after another, returning aggregate flips/ns.
-func measureSequentialChains(size, lanes, sweeps int) float64 {
-	engines := make([]ising.Backend, lanes)
-	for l := range engines {
-		eng, err := backend.New("multispin", backend.Config{
-			Rows: size, Cols: size, Temperature: 2.5, Seed: ising.LaneSeed(1, l),
-		})
-		if err != nil {
-			panic(fmt.Sprintf("harness: %v", err))
-		}
-		eng.Sweep() // warm up
-		eng.Sweep()
-		engines[l] = eng
-	}
-	start := time.Now()
-	for _, eng := range engines {
-		for i := 0; i < sweeps; i++ {
-			eng.Sweep()
-		}
-	}
-	elapsed := time.Since(start)
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(size) * float64(size) * float64(lanes) * float64(sweeps) / float64(elapsed.Nanoseconds())
-}
 
 // EnsembleOnsager runs the physics validation of the lane-packed engine: at
 // each temperature every lane is an independent chain at that temperature,

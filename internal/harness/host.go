@@ -7,6 +7,7 @@ import (
 	"tpuising/internal/interconnect"
 	"tpuising/internal/ising"
 	"tpuising/internal/ising/backend"
+	"tpuising/internal/ising/shardedensemble"
 	"tpuising/internal/perf"
 )
 
@@ -103,12 +104,67 @@ func HostShardScaling(size int, grids [][2]int, sweeps int) *Table {
 	return t
 }
 
-// MeasureBackend measures one registered engine's host throughput
-// (flips/ns) at a square lattice size: the single-cell version of the
-// HostBaselines table, exported so cmd/isingload can embed `benchtables
-// -host`-style measurements in its BENCH_*.json snapshots.
-func MeasureBackend(name string, size, sweeps int) float64 {
-	return measureHostThroughput(name, size, sweeps)
+// HostShardedEnsembleScaling measures the composed batched×sharded engine on
+// one lattice size across shard grids, pairing every measured aggregate
+// host_flips/ns cell (all lanes of all shards) with the modelled interconnect
+// traffic of its lane-packed halo exchanges (perf.ShardedEnsembleTraffic) —
+// whose byte counts the engine's comm counters reproduce exactly. This is the
+// paper's actual per-core workload: every mesh core advances a full batch of
+// lane-packed replicas between halo exchanges.
+func HostShardedEnsembleScaling(size, lanes int, grids [][2]int, sweeps int) *Table {
+	t := &Table{
+		ID: "host_sharded_ensemble_scaling",
+		Title: fmt.Sprintf(
+			"Measured sharded-ensemble throughput (%d lanes, %dx%d) vs modelled interconnect traffic", lanes, size, size),
+		Columns: []string{
+			"shards", "aggregate flips/ns", "speedup", "row link B/sweep", "col link B/sweep", "model permute us/sweep",
+		},
+	}
+	link := interconnect.DefaultLinkParams()
+	var base float64
+	for _, g := range grids {
+		tput := measureShardedEnsemble(size, lanes, g[0], g[1], sweeps)
+		if base == 0 {
+			base = tput
+		}
+		rep := perf.ShardedEnsembleTraffic(perf.ShardedEnsembleSpec{
+			Rows: size, Cols: size, GridR: g[0], GridC: g[1], Lanes: lanes,
+		}, link)
+		t.AddRow(
+			fmt.Sprintf("%dx%d", g[0], g[1]),
+			fmt.Sprintf("%.4f", tput),
+			fmt.Sprintf("%.2fx", ratio(tput, base)),
+			fmt.Sprintf("%d", rep.RowLinkBytes),
+			fmt.Sprintf("%d", rep.ColLinkBytes),
+			fmt.Sprintf("%.2f", rep.PermuteSec*1e6),
+		)
+	}
+	t.Notes = append(t.Notes,
+		"aggregate measured wall clock on this machine: lattice spins x lanes x sweeps / elapsed ns",
+		"halo words are lane-packed (64 chains per word), so the traffic is independent of the lane count — per replica it shrinks by the lanes",
+		fmt.Sprintf("%d timed sweeps per cell after 2 warm-up sweeps; speedup is relative to the first grid", sweeps),
+	)
+	return t
+}
+
+// measureShardedEnsemble times sweeps of one composed engine (per-lane random
+// mode) and returns aggregate flips/ns over all lanes.
+func measureShardedEnsemble(size, lanes, gridR, gridC, sweeps int) float64 {
+	e, err := shardedensemble.New(shardedensemble.Config{
+		Rows: size, Cols: size, GridR: gridR, GridC: gridC,
+		Lanes: lanes, Temperature: 2.5, Seed: 1,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("harness: %v", err))
+	}
+	e.Run(2) // warm up caches and the pod goroutines
+	start := time.Now()
+	e.Run(sweeps)
+	elapsed := time.Since(start)
+	if elapsed <= 0 {
+		return 0
+	}
+	return float64(size) * float64(size) * float64(lanes) * float64(sweeps) / float64(elapsed.Nanoseconds())
 }
 
 // measureHostThroughput times sweeps of one engine and returns flips/ns.
@@ -134,4 +190,12 @@ func measureThroughput(eng ising.Backend, size, sweeps int) float64 {
 		return 0
 	}
 	return float64(size) * float64(size) * float64(sweeps) / float64(elapsed.Nanoseconds())
+}
+
+// ratio guards the speedup columns against a zero-time baseline.
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
 }

@@ -58,3 +58,28 @@ func TestHostShardScalingShape(t *testing.T) {
 		t.Fatalf("row link bytes = %s, want 64", tab.Rows[0][3])
 	}
 }
+
+// TestHostShardedEnsembleScalingShape: the composed-engine table has one row
+// per grid, positive aggregate throughput and positive modelled traffic.
+func TestHostShardedEnsembleScalingShape(t *testing.T) {
+	grids := [][2]int{{1, 1}, {2, 2}}
+	tab := HostShardedEnsembleScaling(64, 16, grids, 2)
+	if len(tab.Rows) != len(grids) {
+		t.Fatalf("table has %d rows, want %d", len(tab.Rows), len(grids))
+	}
+	for i, g := range grids {
+		if got, want := tab.Cell(i, 0), strconv.Itoa(g[0])+"x"+strconv.Itoa(g[1]); got != want {
+			t.Fatalf("row %d grid = %s, want %s", i, got, want)
+		}
+		v, err := strconv.ParseFloat(tab.Cell(i, 1), 64)
+		if err != nil || v <= 0 {
+			t.Fatalf("row %d aggregate %q is not positive (%v)", i, tab.Cell(i, 1), err)
+		}
+		for col := 3; col <= 4; col++ {
+			b, err := strconv.Atoi(tab.Cell(i, col))
+			if err != nil || b <= 0 {
+				t.Fatalf("row %d col %d: %q is not positive traffic (%v)", i, col, tab.Cell(i, col), err)
+			}
+		}
+	}
+}

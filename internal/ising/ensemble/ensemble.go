@@ -200,11 +200,6 @@ func (e *Engine) SetLaneTemperature(lane int, t float64) {
 	e.kern.SetLaneTemperature(lane, t)
 }
 
-// Footprint returns the bytes of packed lattice state (one 64-lane word per
-// site, whatever the active lane count). perf.EnsembleFootprint models this
-// number; the equality is asserted by test.
-func (e *Engine) Footprint() int64 { return int64(len(e.words)) * 8 }
-
 // Counts reports the attempted spin updates across all lanes in Ops; the
 // engine runs on the host, so no device work is modelled.
 func (e *Engine) Counts() metrics.Counts {

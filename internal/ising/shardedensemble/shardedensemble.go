@@ -235,11 +235,6 @@ func (e *Engine) SetLaneTemperature(lane int, t float64) {
 	e.kern.SetLaneTemperature(lane, t)
 }
 
-// Footprint returns the bytes of lane-packed lattice state across all shards
-// (one 64-lane word per site, whatever the active lane count).
-// perf.ShardedEnsembleTraffic models this number.
-func (e *Engine) Footprint() int64 { return int64(e.rows) * int64(e.cols) * 8 }
-
 // Counts reports the attempted spin updates across all lanes in Ops (host
 // work, like the other host engines) plus the pod-total interconnect traffic
 // of the halo exchanges, which perf.ShardedEnsembleTraffic mirrors

@@ -3,8 +3,9 @@
 // subscribers, records per-request latency histograms (p50/p95/p99),
 // error/queue-full/cache-hit rates and server-side counter deltas
 // (sweeps/s, stream wakeups per sweep), checks them against declared
-// thresholds, and snapshots everything into a machine-readable BENCH_*.json
-// so every PR's performance delta is visible in the repository history.
+// thresholds, and writes the run as a machine-readable JSON snapshot. It is
+// the service load and robustness gate; engine throughput is recorded by the
+// perfbench ledger, not here.
 //
 // The pieces compose the way k6's metrics/thresholds pipeline does:
 //
@@ -16,8 +17,8 @@
 //     results (a configurable fraction canceling instead, which is what
 //     surfaced the queue-slot-pinning bug), and subscribers that follow
 //     /stream NDJSON (which is what surfaced the wake-storm).
-//   - Snapshot: the BENCH_*.json schema: the scenario Report, its threshold
-//     Checks, and the host flips/ns tables measured by internal/harness.
+//   - Snapshot: the JSON record of one run: the scenario Report and its
+//     threshold Checks.
 //
 // cmd/isingload is the CLI over this package; internal/service is the
 // system under test.

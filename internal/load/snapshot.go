@@ -6,16 +6,12 @@ import (
 	"os"
 )
 
-// Snapshot is the BENCH_*.json schema: one machine-readable record of the
-// repository's measured performance at a PR, combining the service load
-// Report (throughput, latency quantiles, rates, wakeups per sweep), its
-// threshold verdicts, and the host engine throughput the harness measures
-// (`benchtables -host` flips/ns plus the lane-packed ensemble aggregate).
-// Later PRs write BENCH_<n+1>.json next to it, so diffing two snapshots is
-// the repo's perf trajectory.
+// Snapshot is the machine-readable record of one isingload run: the
+// service load Report (throughput, latency quantiles, rates, wakeups per
+// sweep) and its threshold verdicts, stamped with the measuring runtime.
+// CI keeps it as a build artifact. It is not a throughput record: engine
+// flips/ns live in the perfbench ledger.
 type Snapshot struct {
-	// Bench is the trajectory index ("6" wrote BENCH_6.json).
-	Bench string `json:"bench"`
 	// CreatedAt is an RFC3339 stamp supplied by the writer.
 	CreatedAt string `json:"created_at,omitempty"`
 	// GoVersion, GOOS/GOARCH and GOMAXPROCS pin the measuring machine.
@@ -24,52 +20,15 @@ type Snapshot struct {
 	GOARCH     string `json:"goarch,omitempty"`
 	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
 
-	// Service is the load-scenario report (nil when only host tables were
-	// measured).
+	// Service is the load-scenario report.
 	Service *Report `json:"service,omitempty"`
 	// Checks are the evaluated thresholds and Passed their conjunction.
 	Checks []Check `json:"checks,omitempty"`
 	Passed bool    `json:"passed"`
-
-	// Host is the measured host-engine throughput section.
-	Host *HostBench `json:"host,omitempty"`
-}
-
-// HostBench is the snapshot's host-throughput section: the measured
-// flips/ns of the registered CPU engines at one lattice size (the
-// `benchtables -host` measurement) and the lane-packed ensemble engine's
-// aggregate throughput — the numbers the Romero et al. GPU baselines are
-// compared against.
-type HostBench struct {
-	// Lattice is the square lattice side; Sweeps the timed sweeps per cell.
-	Lattice int `json:"lattice"`
-	Sweeps  int `json:"sweeps"`
-	// FlipsPerNs maps backend registry names to measured throughput.
-	FlipsPerNs map[string]float64 `json:"flips_per_ns"`
-	// EnsembleLanes and EnsembleAggregate record the lane-packed ensemble
-	// engine: aggregate flips/ns over all lanes in shared-random mode.
-	EnsembleLanes     int     `json:"ensemble_lanes,omitempty"`
-	EnsembleAggregate float64 `json:"ensemble_aggregate_flips_per_ns,omitempty"`
-	// AVX2 records whether this measuring binary ran the AVX2 rng batch
-	// kernels (built with -tags avx2 on a CPU with OS-enabled AVX2). The
-	// kernel-variant numbers below are only comparable across snapshots with
-	// the same setting.
-	AVX2 bool `json:"avx2,omitempty"`
-	// KernelRef and KernelOpt are the per-site multispin row kernel measured
-	// directly (no engine around it): the retained naive reference vs the
-	// optimized batched+tiled loop — the kernel delta of the harness
-	// host_kernel_variants table.
-	KernelRef float64 `json:"kernel_ref_flips_per_ns,omitempty"`
-	KernelOpt float64 `json:"kernel_opt_flips_per_ns,omitempty"`
-	// ShardedEnsembleGrid and ShardedEnsembleAggregate record the composed
-	// batched×sharded engine: aggregate flips/ns over all lanes of all shards
-	// (per-lane random mode) on the recorded shard grid.
-	ShardedEnsembleGrid      string  `json:"sharded_ensemble_grid,omitempty"`
-	ShardedEnsembleAggregate float64 `json:"sharded_ensemble_aggregate_flips_per_ns,omitempty"`
 }
 
 // Write atomically writes the snapshot as indented JSON (temp file +
-// rename), so a crash mid-write never leaves a truncated BENCH file.
+// rename), so a crash mid-write never leaves a truncated snapshot.
 func (s *Snapshot) Write(path string) error {
 	blob, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
@@ -83,7 +42,7 @@ func (s *Snapshot) Write(path string) error {
 	return os.Rename(tmp, path)
 }
 
-// ReadSnapshot loads a BENCH_*.json written by Write.
+// ReadSnapshot loads a snapshot written by Write.
 func ReadSnapshot(path string) (*Snapshot, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {

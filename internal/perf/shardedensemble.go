@@ -48,8 +48,8 @@ type ShardedEnsembleTrafficReport struct {
 	// cost of advancing one replica by one sweep, the number the batch axis
 	// amortises.
 	BytesPerLaneSweep float64
-	// PackedBytes is the lane-packed lattice state across all shards (one
-	// 64-lane word per site; the engine's Footprint).
+	// PackedBytes is the lane-packed lattice state across all shards: one
+	// 64-lane word per site, whatever the active lane count.
 	PackedBytes int64
 	// PermuteSec is the modelled wall time of one sweep's eight lockstep
 	// collective permutes under the given link parameters.

@@ -191,10 +191,15 @@ func (j *Job) notifyStream() {
 
 // setState transitions the job, reporting whether the transition happened
 // (false once the job is already terminal — callers use this to keep the
-// server counters exact when a cancel races a completion). Terminal
-// transitions close done exactly once and wake stream watchers so open
-// streams end promptly.
-func (j *Job) setState(state JobState, err error) bool {
+// server counters exact when a cancel races a completion). A StateDone
+// transition stores result and cached. Terminal transitions call record (when
+// non-nil) with the job's worker occupancy — ran is false for a job that
+// never reached a worker — then close done exactly once and wake stream
+// watchers so open streams end promptly. record runs under j.mu and before
+// done closes, so a client woken by Done reads counters that already include
+// this job; it must not call back into the job.
+func (j *Job) setState(state JobState, err error, result *encode.Result, cached bool,
+	record func(run time.Duration, ran bool)) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.terminal() {
@@ -202,6 +207,10 @@ func (j *Job) setState(state JobState, err error) bool {
 	}
 	j.state = state
 	j.err = err
+	if state == StateDone {
+		j.result = result
+		j.cached = cached
+	}
 	if state == StateRunning {
 		j.runStartedAt = j.now()
 	}
@@ -211,37 +220,18 @@ func (j *Job) setState(state JobState, err error) bool {
 	if state.terminal() {
 		j.finishedAt = j.now()
 		j.clipSamplesLocked()
+		if record != nil {
+			ran := !j.runStartedAt.IsZero()
+			var run time.Duration
+			if ran {
+				run = j.finishedAt.Sub(j.runStartedAt)
+			}
+			record(run, ran)
+		}
 		j.notifyStream()
 		close(j.done)
 	}
 	return true
-}
-
-// finish marks the job done with its result, reporting whether it was still
-// live to finish.
-func (j *Job) finish(result *encode.Result, cached bool) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.terminal() {
-		return false
-	}
-	j.state = StateDone
-	j.result = result
-	j.cached = cached
-	j.addEventLocked(EventCompleted, 0)
-	j.finishedAt = j.now()
-	j.clipSamplesLocked()
-	j.notifyStream()
-	close(j.done)
-	return true
-}
-
-// runStarted returns the StateRunning transition stamp (zero for a job that
-// never reached a worker).
-func (j *Job) runStarted() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.runStartedAt
 }
 
 // setSweepsDone publishes progress. It does not wake stream watchers: a

@@ -26,7 +26,7 @@ type promMetric struct {
 // promMetrics is the /metrics catalogue, all prefixed isingd_. Counters carry
 // the conventional _total suffix; gauges are instantaneous. isingload scrapes
 // these (internal/load) and the CI load-smoke gate thresholds them, so a
-// rename here is a breaking change to the perf trajectory.
+// rename here is a breaking change to that gate.
 var promMetrics = []promMetric{
 	{"isingd_jobs_submitted_total", "counter", "Jobs accepted by Submit (including cache hits).", func(s Stats) int64 { return s.JobsSubmitted }},
 	{"isingd_jobs_completed_total", "counter", "Jobs that finished with a result (excluding cache hits).", func(s Stats) int64 { return s.JobsCompleted }},

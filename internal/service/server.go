@@ -440,7 +440,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.mu.Unlock()
 		s.jobsSubmitted.Add(1)
 		s.jobsCached.Add(1)
-		j.finish(cached, true)
+		j.setState(StateDone, nil, cached, true, nil)
 		s.jobLogger(j).Debug("cache hit")
 		s.pruneJobs()
 		return j, nil
@@ -663,8 +663,7 @@ func (s *Server) Cancel(id string) (*Job, error) {
 	}
 	j.cancel(errCanceled)
 	s.dequeue(j)
-	if j.setState(StateCanceled, errCanceled) {
-		s.jobsCanceled.Add(1)
+	if j.setState(StateCanceled, errCanceled, nil, false, s.countCanceled) {
 		s.removeCheckpoint(j)
 		s.jobLogger(j).Info("job canceled")
 		s.pruneJobs()
@@ -856,7 +855,7 @@ func (s *Server) run(j *Job) {
 		// has already marked it canceled.
 		return
 	}
-	if !j.setState(StateRunning, nil) {
+	if !j.setState(StateRunning, nil, nil, false, nil) {
 		return
 	}
 	if len(j.spec.Temperatures) > 0 {
@@ -870,25 +869,26 @@ func (s *Server) run(j *Job) {
 	s.runSingle(j)
 }
 
-// observeRun folds the job's worker occupancy into the run-duration
-// histogram (a job that never reached a worker observes nothing) and returns
-// it for the log line.
-func (s *Server) observeRun(j *Job) time.Duration {
-	started := j.runStarted()
-	if started.IsZero() {
-		return 0
+// observeRun folds a finished job's worker occupancy into the run-duration
+// histogram; a job that never reached a worker (ran false) observes nothing.
+func (s *Server) observeRun(run time.Duration, ran bool) {
+	if ran {
+		s.runH.Observe(run)
 	}
-	d := s.now().Sub(started)
-	s.runH.Observe(d)
-	return d
 }
+
+// countCanceled is the record hook of a canceled job's terminal transition.
+func (s *Server) countCanceled(time.Duration, bool) { s.jobsCanceled.Add(1) }
 
 // fail marks the job failed.
 func (s *Server) fail(j *Job, err error) {
 	s.removeCheckpoint(j)
-	if j.setState(StateFailed, err) {
+	var d time.Duration
+	if j.setState(StateFailed, err, nil, false, func(run time.Duration, ran bool) {
 		s.jobsFailed.Add(1)
-		d := s.observeRun(j)
+		s.observeRun(run, ran)
+		d = run
+	}) {
 		s.jobLogger(j).Warn("job failed", "error", err, "run_ms", float64(d)/float64(time.Millisecond))
 	}
 	s.pruneJobs()
@@ -900,9 +900,12 @@ func (s *Server) fail(j *Job, err error) {
 func (s *Server) complete(j *Job, r *encode.Result) {
 	s.storeResult(j.key, r)
 	s.removeCheckpoint(j)
-	if j.finish(r, false) {
+	var d time.Duration
+	if j.setState(StateDone, nil, r, false, func(run time.Duration, ran bool) {
 		s.jobsCompleted.Add(1)
-		d := s.observeRun(j)
+		s.observeRun(run, ran)
+		d = run
+	}) {
 		s.jobLogger(j).Info("job completed", "run_ms", float64(d)/float64(time.Millisecond),
 			"sweeps", j.spec.totalSweeps())
 	}
@@ -917,7 +920,7 @@ func (s *Server) interrupted(j *Job, snapper ising.Snapshotter, canCkpt bool, do
 	if context.Cause(j.ctx) == errClosing {
 		if canCkpt {
 			if err := s.writeCheckpoint(j, snapper, done, absM, energy); err == nil {
-				j.setState(StateQueued, nil)
+				j.setState(StateQueued, nil, nil, false, nil)
 				return
 			}
 		}
@@ -926,20 +929,16 @@ func (s *Server) interrupted(j *Job, snapper ising.Snapshotter, canCkpt bool, do
 			// durable intent record from Submit is still on disk: the next
 			// daemon reruns it from sweep zero, byte-identically. Park it
 			// queued rather than canceling it.
-			j.setState(StateQueued, nil)
+			j.setState(StateQueued, nil, nil, false, nil)
 			return
 		}
-		if j.setState(StateCanceled, errClosing) {
-			s.jobsCanceled.Add(1)
-		}
+		j.setState(StateCanceled, errClosing, nil, false, s.countCanceled)
 		return
 	}
 	// Client cancel: Cancel already set the state; make sure no checkpoint
 	// survives (the worker may have written one after Cancel removed it).
 	s.removeCheckpoint(j)
-	if j.setState(StateCanceled, errCanceled) {
-		s.jobsCanceled.Add(1)
-	}
+	j.setState(StateCanceled, errCanceled, nil, false, s.countCanceled)
 }
 
 // backendConfig maps a job spec onto the registry's engine configuration.

@@ -610,3 +610,67 @@ func TestSubmitAfterCloseFails(t *testing.T) {
 		t.Fatalf("submit after close: %v", err)
 	}
 }
+
+// TestCountersSettleBeforeDone pins the order of a terminal transition: the
+// job's completed/failed/canceled counter and its run-histogram observation
+// are recorded before Done closes, so a client woken by Done that then reads
+// /metrics always finds its own job counted. Each check runs straight after
+// Done, with no polling; thousands of sequential jobs give the two workers
+// every chance to interleave a late counter bump.
+func TestCountersSettleBeforeDone(t *testing.T) {
+	const jobs = 3000
+	spec := func(i int) JobSpec {
+		return JobSpec{Backend: "checkerboard", Rows: 4, Sweeps: 1, Seed: uint64(i + 1)}
+	}
+	t.Run("completed", func(t *testing.T) {
+		srv, _ := New(Config{Workers: 2})
+		defer srv.Close()
+		for i := 0; i < jobs; i++ {
+			j, err := srv.Submit(spec(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, j)
+			st := srv.Stats()
+			if st.JobsCompleted != int64(i+1) || st.Latency.Run.Count != int64(i+1) {
+				t.Fatalf("job %d: Done closed with jobs_completed=%d run_count=%d, want %d",
+					i, st.JobsCompleted, st.Latency.Run.Count, i+1)
+			}
+		}
+	})
+	t.Run("failed", func(t *testing.T) {
+		srv, _ := New(Config{Workers: 2})
+		defer srv.Close()
+		srv.testHookRun = func(*Job) { panic("induced failure") }
+		for i := 0; i < jobs; i++ {
+			j, err := srv.Submit(spec(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := waitDone(t, j); st.State != StateFailed {
+				t.Fatalf("job %d: state %q, want failed", i, st.State)
+			}
+			if got := srv.Stats().JobsFailed; got != int64(i+1) {
+				t.Fatalf("job %d: Done closed with jobs_failed=%d, want %d", i, got, i+1)
+			}
+		}
+	})
+	t.Run("canceled", func(t *testing.T) {
+		srv, _ := New(Config{Workers: 2})
+		defer srv.Close()
+		srv.testHookRun = func(j *Job) { <-j.ctx.Done() }
+		for i := 0; i < jobs; i++ {
+			j, err := srv.Submit(spec(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Cancel(j.ID())
+			if st := waitDone(t, j); st.State != StateCanceled {
+				t.Fatalf("job %d: state %q, want canceled", i, st.State)
+			}
+			if got := srv.Stats().JobsCanceled; got != int64(i+1) {
+				t.Fatalf("job %d: Done closed with jobs_canceled=%d, want %d", i, got, i+1)
+			}
+		}
+	})
+}
